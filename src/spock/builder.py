@@ -130,9 +130,10 @@ class ExecEngine:
 
     The command template may use ``{recipe}`` (path of the recipe file in
     a scratch directory), ``{context}`` (the scratch directory), and
-    ``{tag}``. A nonzero exit is an engine failure; the image digest is
-    the last ``sha256:<hex>`` token in the combined output. Real engines
-    do not expose per-step digests, so those are recorded as absent.
+    ``{tag}`` (a lower-case OCI image reference). A nonzero exit is an
+    engine failure; the image digest is the last ``sha256:<hex>`` token in
+    the combined output. Real engines do not expose per-step digests, so
+    those are recorded as absent.
     """
 
     name = "exec"
@@ -218,7 +219,8 @@ def build(
     """
     ledger.refresh()
     parsed, parent_digest = _build_preconditions(ledger, recipe_hash, signer)
-    tag = f"{clock.iso_basic(clock.now_utc())}-{recipe_hash}"
+    # OCI repository names are lower-case; the stamp's T and Z are not
+    tag = f"{clock.iso_basic(clock.now_utc())}-{recipe_hash}".lower()
     result = engine.build(parsed, parent_digest, tag=tag)
     with ledger.exclusive():
         _build_preconditions(ledger, recipe_hash, signer)
@@ -263,7 +265,7 @@ def diff_rebuild(ledger: Ledger, image_id: str, engine) -> DiffReport:
     if image.parent_image_id is not None:
         parent = ledger.get_image(image.parent_image_id)
         parent_digest = parent.image_digest
-    result = engine.build(parsed, parent_digest, tag=f"{QUARANTINE_NAMESPACE}/{image_id}")
+    result = engine.build(parsed, parent_digest, tag=f"{QUARANTINE_NAMESPACE}/{image_id.lower()}")
     diffs = []
     trusted = image.step_digests
     rebuilt = result.step_digests

@@ -6,6 +6,7 @@ module's :func:`now_utc` attribute so a fake clock can be swapped in.
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timedelta, timezone
 
 SECOND = timedelta(seconds=1)
@@ -25,9 +26,22 @@ def iso_basic(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).replace(microsecond=0).strftime("%Y%m%dT%H%M%SZ")
 
 
+# Exactly the zero-padded forms written above, ASCII digits only; any
+# other spelling of a time is rejected rather than guessed at.
+_ISO_RE = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z", re.ASCII)
+_ISO_BASIC_RE = re.compile(r"(\d{4})(\d\d)(\d\d)T(\d\d)(\d\d)(\d\d)Z", re.ASCII)
+
+
+def _parse(pattern: re.Pattern, text: str) -> datetime:
+    match = pattern.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed timestamp: {text!r}")
+    return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
+
+
 def parse_iso(text: str) -> datetime:
-    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+    return _parse(_ISO_RE, text)
 
 
 def parse_iso_basic(text: str) -> datetime:
-    return datetime.strptime(text, "%Y%m%dT%H%M%SZ").replace(tzinfo=timezone.utc)
+    return _parse(_ISO_BASIC_RE, text)

@@ -9,6 +9,7 @@ are flagged rather than hidden, because the history is append-only.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 from . import crypto
@@ -167,15 +168,18 @@ def lineage_problems(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> 
 
 
 def short_labels(ledger: Ledger) -> dict[str, str]:
-    """Shortest hash prefix that uniquely names each recipe in this ledger."""
+    """Shortest hash prefix that uniquely names each recipe in this ledger.
+
+    In sorted order a hash shares its longest prefix with one of its two
+    neighbours, so one pass over adjacent pairs finds every label.
+    """
     hashes = sorted(ledger.recipes)
-    labels: dict[str, str] = {}
-    for h in hashes:
-        n = 1
-        while n < len(h) and any(o != h and o.startswith(h[:n]) for o in hashes):
-            n += 1
-        labels[h] = h[:n]
-    return labels
+    shared = [0] * len(hashes)
+    for i in range(1, len(hashes)):
+        n = len(os.path.commonprefix((hashes[i - 1], hashes[i])))
+        shared[i - 1] = max(shared[i - 1], n)
+        shared[i] = n
+    return {h: h[: n + 1] for h, n in zip(hashes, shared)}
 
 
 def show_content(ledger: Ledger, node: str, with_lineage: bool = False) -> str:
@@ -243,7 +247,7 @@ def export_tree(ledger: Ledger, format: str = "json") -> str:
     if format == "json":
         return json.dumps({"nodes": nodes, "edges": edges}, indent=2, sort_keys=True) + "\n"
     if format == "dot":
-        labels = short_labels(ledger)
+        labels = {node["hash"]: node["label"] for node in nodes}
         lines = ["digraph provenance {"]
         for node in sorted(nodes, key=lambda n: n["label"]):
             label = node["label"]

@@ -142,17 +142,25 @@ def _write_bundle(
     )
     if ledger.sync:
         for path in tmp_dir.iterdir():
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+            _fsync_path(path)
     final_dir = ledger.archive_root / bundle_id
     if final_dir.exists():
         shutil.rmtree(tmp_dir)
     else:
         os.rename(tmp_dir, final_dir)
+        if ledger.sync:
+            # the rename is durable only once both directories are synced
+            _fsync_path(final_dir)
+            _fsync_path(ledger.archive_root)
     return bundle_id
+
+
+def _fsync_path(path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def remove(ledger: Ledger, node: str, reason: str) -> ArchiveBundle:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import re
+import shlex
+import sys
 
 import pytest
 
@@ -215,7 +218,7 @@ def test_diff_rebuild_uses_quarantine_namespace(trusted_ledger):
     _, image = register_and_build(ledger, ROOT_TEXT, signer, private)
     engine = RecordingEngine()
     builder.diff_rebuild(ledger, image.image_id, engine)
-    assert engine.tags == [f"spock-quarantine/{image.image_id}"]
+    assert engine.tags == [f"spock-quarantine/{image.image_id.lower()}"]
 
 
 def test_diff_rebuild_requires_live_image(trusted_ledger):
@@ -274,3 +277,32 @@ def test_build_with_exec_engine_records_absent_steps(trusted_ledger):
     # absent step digests: a diff rebuild compares only the image digest
     report = builder.diff_rebuild(ledger, image.image_id, engine)
     assert report.verdict == "identical"
+
+
+# Docker's reference grammar (distribution/reference) without the optional
+# registry host: lower-case path components, then an optional tag.
+_PATH_COMPONENT = r"[a-z0-9]+(?:(?:[._]|__|-+)[a-z0-9]+)*"
+_DOCKER_REFERENCE = re.compile(
+    rf"{_PATH_COMPONENT}(?:/{_PATH_COMPONENT})*(?::\w[\w.-]{{0,127}})?"
+)
+
+
+def test_exec_engine_tags_are_valid_docker_references(trusted_ledger, tmp_path):
+    ledger, signer, private = trusted_ledger
+    capture = tmp_path / "tags.txt"
+    script = (
+        "import sys; open(sys.argv[1], 'a').write(sys.argv[2] + '\\n'); "
+        "print('sha256:' + 'c' * 64)"
+    )
+    engine = ExecEngine(
+        f"{shlex.quote(sys.executable)} -c {shlex.quote(script)} "
+        f"{shlex.quote(str(capture))} {{tag}}"
+    )
+    rec = recipe.register_root(ledger, ROOT_TEXT, signer, private)
+    image = builder.build(ledger, rec.recipe_hash, engine, signer, private)
+    builder.diff_rebuild(ledger, image.image_id, engine)
+    build_tag, quarantine_tag = capture.read_text().splitlines()
+    assert quarantine_tag.startswith("spock-quarantine/")
+    for tag in (build_tag, quarantine_tag):
+        assert _DOCKER_REFERENCE.fullmatch(tag), tag
+        assert len(tag) <= 255

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from spock import Ledger, crypto, recipe
+from spock import Ledger, crypto, recipe, rungate
 from spock.errors import (
     AlreadyRegisteredError,
     DuplicateEntityError,
@@ -18,8 +18,10 @@ from spock.records import (
     LedgerEvent,
     RecipeRecord,
     STATUS_LIVE,
+    canonical_json,
     record_bytes,
 )
+from spock.ledger import format_log_line
 from tests.conftest import ROOT_TEXT, register_and_build
 
 from datetime import datetime, timezone
@@ -202,6 +204,27 @@ def test_validate_flags_distrusted_signer_live_records(trusted_ledger):
     report = ledger.validate_all()
     flagged = [e for e in report.failures() if e.check == "signer-trusted"]
     assert [e.ref for e in flagged] == [f"recipe:{rec.recipe_hash}"]
+
+
+def test_unpadded_timestamp_with_valid_digest_is_a_parse_issue(trusted_ledger):
+    ledger, signer, private = trusted_ledger
+    _, image = register_and_build(ledger, ROOT_TEXT, signer, private)
+    # line 3 is the recipe: rewrite its registered_at unpadded, with a
+    # digest and base64 that match the rewritten bytes
+    lines = ledger.log_path.read_bytes().split(b"\n")
+    _, rtype, payload_b64 = lines[2].decode("ascii").split(" ")
+    data = json.loads(crypto.decode_text(payload_b64))
+    data["registered_at"] = "2026-1-2T3:4:5Z"
+    payload = canonical_json(data)
+    lines[2] = format_log_line(crypto.digest(payload), rtype, payload).rstrip(b"\n")
+    ledger.log_path.write_bytes(b"\n".join(lines))
+
+    reopened = Ledger.open(ledger.root)
+    assert [(i.ref, i.check) for i in reopened.issues] == [("line:3", "parse")]
+    assert "line:3" in {e.ref for e in reopened.validate_all().failures() if e.check == "parse"}
+    decision = rungate.check_runnable(reopened, image.image_id)
+    assert not decision.allowed
+    assert "signature-invalid:line:3" in decision.reasons
 
 
 def test_close_reopen_round_trips_records_bit_exactly(trusted_ledger):

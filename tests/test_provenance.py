@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spock import MockEngine, builder, provenance, recipe, revocation
 from spock.errors import NotFoundError
@@ -200,3 +203,89 @@ def test_short_labels_grow_until_unique(trusted_ledger):
         assert h.startswith(label)
         others = [o for o in hashes if o != h]
         assert not any(o.startswith(label) for o in others)
+
+
+# ----------------------------------------------------------------------
+# short labels against the quadratic reference
+
+
+HEX = "0123456789abcdef"
+
+
+def quadratic_short_labels(hashes) -> dict[str, str]:
+    """The original definition: grow each prefix until no other hash
+    starts with it."""
+    hashes = sorted(hashes)
+    labels: dict[str, str] = {}
+    for h in hashes:
+        n = 1
+        while n < len(h) and any(o != h and o.startswith(h[:n]) for o in hashes):
+            n += 1
+        labels[h] = h[:n]
+    return labels
+
+
+@st.composite
+def hash_sets(draw) -> set[str]:
+    """Sets of 64-hex hashes drawn around a few forced shared prefixes, up
+    to 63 characters long, so neighbours often agree far into the hash."""
+    prefixes = draw(st.lists(st.text(HEX, max_size=63), min_size=1, max_size=4))
+    size = draw(st.one_of(st.just(1), st.just(2), st.integers(3, 300)))
+    rng = draw(st.randoms(use_true_random=False))
+    hashes: set[str] = set()
+    for _ in range(size):
+        prefix = rng.choice(prefixes)
+        hashes.add(prefix + "".join(rng.choice(HEX) for _ in range(64 - len(prefix))))
+    return hashes
+
+
+@settings(max_examples=60, deadline=None)
+@given(hash_sets())
+def test_short_labels_match_quadratic_reference(hashes):
+    labels = provenance.short_labels(SimpleNamespace(recipes=dict.fromkeys(hashes)))
+    assert labels == quadratic_short_labels(hashes)
+    for h, label in labels.items():
+        assert not any(o != h and o.startswith(label) for o in hashes)
+        if len(label) > 1:
+            # minimal: one character shorter no longer names h alone
+            assert any(o != h and o.startswith(label[:-1]) for o in hashes)
+
+
+def _chain_forest(n: int) -> SimpleNamespace:
+    """Stand-in ledger: n recipes, each with one live image, each recipe
+    extending the previous recipe's image."""
+    rng = random.Random(50)
+    recipes: dict[str, SimpleNamespace] = {}
+    images: dict[str, SimpleNamespace] = {}
+    parent_image = None
+    for i in range(n):
+        h = f"{rng.getrandbits(256):064x}"
+        recipes[h] = SimpleNamespace(
+            recipe_hash=h,
+            kind="root" if parent_image is None else "child",
+            status="live",
+            signer_id="alice",
+            parent_image_id=parent_image,
+        )
+        parent_image = f"20260102T030405Z-{h}"
+        images[parent_image] = SimpleNamespace(
+            image_id=parent_image, recipe_hash=h, status="live",
+            image_digest=h, signer_id="alice",
+        )
+    by_recipe = {img.recipe_hash: [img] for img in images.values()}
+    return SimpleNamespace(
+        recipes=recipes, images=images, images_of=lambda h: by_recipe.get(h, [])
+    )
+
+
+def test_short_labels_and_export_tree_scale_to_50000_recipes():
+    forest = _chain_forest(50_000)
+    start = time.perf_counter()
+    labels = provenance.short_labels(forest)
+    tree = json.loads(provenance.export_tree(forest, format="json"))
+    dot = provenance.export_tree(forest, format="dot")
+    elapsed = time.perf_counter() - start
+    assert len(set(labels.values())) == 50_000
+    assert len(tree["nodes"]) == 50_000 and len(tree["edges"]) == 49_999
+    assert dot.count(" -> ") == 49_999
+    assert elapsed < 10.0, f"took {elapsed:.1f} s"

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -365,3 +367,34 @@ def test_crash_torn_event_line_recovers_pre_remove(fig_tree):
     reopened = Ledger.open(ledger.root)
     assert live_sets(reopened) == (recipes_before, images_before)
     assert reopened.validate_all().ok
+
+
+def test_remove_syncs_bundle_and_archive_directories_before_commit(fig_tree, monkeypatch):
+    ledger = fig_tree["ledger"]
+    ledger.sync = True
+    opened: dict[int, Path] = {}
+    trail: list[object] = []
+    real_open, real_fsync, real_append = os.open, os.fsync, Ledger.append
+
+    def recording_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        opened[fd] = Path(path)
+        return fd
+
+    def recording_fsync(fd):
+        trail.append(opened.pop(fd, None))
+        return real_fsync(fd)
+
+    def recording_append(self, record):
+        trail.append("append")
+        return real_append(self, record)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(Ledger, "append", recording_append)
+    bundle = revocation.remove(ledger, fig_tree["leaf"].recipe_hash, "sync test")
+
+    commit = trail.index("append")
+    synced = trail[:commit]
+    assert ledger.archive_root / bundle.bundle_id in synced
+    assert ledger.archive_root in synced
