@@ -15,7 +15,6 @@ from .builder import (
     StepDiff,
     build,
     diff_rebuild,
-    mock_build,
 )
 from .crypto import (
     PrivateKey,
@@ -69,6 +68,7 @@ from .records import (
 )
 from .revocation import ArchiveBundle, distrust, list_archives, open_archive, remove
 from .rungate import AdmissionDecision, RunOutcome, check_runnable, run
+from .verify import Problem
 
 __version__ = "0.1.0"
 
@@ -96,6 +96,7 @@ __all__ = [
     "ParseError",
     "PolicyError",
     "PrivateKey",
+    "Problem",
     "PublicKey",
     "PurgedError",
     "RebuildDeniedError",
@@ -126,7 +127,6 @@ __all__ = [
     "lineage",
     "lineage_problems",
     "list_archives",
-    "mock_build",
     "open_archive",
     "parse",
     "register_child",

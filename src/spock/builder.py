@@ -32,9 +32,10 @@ from .errors import (
     UntrustedSignerError,
 )
 from .ledger import Ledger
-from .provenance import lineage_problems, recipe_record_problems
-from .recipe import Recipe, parse
-from .records import ImageRecord, LedgerEvent, STATUS_LIVE, STATUS_TRUSTED
+from .provenance import lineage_problems
+from .recipe import Recipe, parse, require_trusted
+from .records import ImageRecord, LedgerEvent, STATUS_LIVE
+from .verify import PURGED, UNTRUSTED_SIGNER, record_problems
 from . import clock
 
 QUARANTINE_NAMESPACE = "spock-quarantine"
@@ -114,14 +115,6 @@ class MockEngine:
         )
 
 
-def mock_build(recipe: Recipe | str, parent_digest: str | None, seed: str) -> tuple[str, tuple[str, ...]]:
-    """Convenience wrapper over MockEngine for oracle-style callers."""
-    if isinstance(recipe, str):
-        recipe = parse(recipe)
-    result = MockEngine(seed).build(recipe, parent_digest, tag="")
-    return result.image_digest, result.step_digests
-
-
 _DIGEST_RE = re.compile(r"sha256:([0-9a-f]{64})")
 
 
@@ -173,9 +166,7 @@ def _build_preconditions(
         raise NotFoundError(f"unknown recipe: {recipe_hash}")
     if record.status != STATUS_LIVE:
         raise PurgedError(f"recipe was revoked and cannot be built: {recipe_hash}")
-    entity = ledger.entities.get(signer)
-    if entity is None or entity.status != STATUS_TRUSTED:
-        raise UntrustedSignerError(f"signer is not a trusted entity: {signer}")
+    require_trusted(ledger, signer)
     live = ledger.live_image_for(recipe_hash)
     if live is not None:
         raise RebuildDeniedError(
@@ -185,7 +176,7 @@ def _build_preconditions(
     # the recipe itself, and its ancestry through the parent image; the
     # recipe's own previous (now purged) image is deliberately not a
     # problem here, since removal is exactly what permits rebuilding
-    problems = recipe_record_problems(ledger, record)
+    problems = record_problems(ledger, record)
     parent_digest = None
     if record.parent_image_id is not None:
         parent = ledger.images.get(record.parent_image_id)
@@ -194,12 +185,14 @@ def _build_preconditions(
         problems.extend(lineage_problems(ledger, parent))
         parent_digest = parent.image_digest
     if problems:
-        detail = "; ".join(problems)
-        if any(p.startswith("untrusted-signer") for p in problems):
-            raise UntrustedSignerError(f"recipe lineage fails verification: {detail}")
-        if any(p.startswith("purged") for p in problems):
-            raise PurgedError(f"recipe lineage fails verification: {detail}")
-        raise SignatureInvalidError(f"recipe lineage fails verification: {detail}")
+        codes = {p.code for p in problems}
+        if UNTRUSTED_SIGNER in codes:
+            error = UntrustedSignerError
+        elif PURGED in codes:
+            error = PurgedError
+        else:
+            error = SignatureInvalidError
+        raise error(f"recipe lineage fails verification: {'; '.join(map(str, problems))}")
     parsed = parse(record.text)
     return parsed, parent_digest
 

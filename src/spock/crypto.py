@@ -16,6 +16,7 @@ import base64
 import binascii
 import hashlib
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .errors import SpockError
 
 ALGORITHM = "ed25519"
 
-HEX_DIGEST_LEN = 64
+_HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def digest(content: bytes) -> str:
@@ -38,7 +39,9 @@ def digest(content: bytes) -> str:
 
 
 def is_digest(value: str) -> bool:
-    return len(value) == HEX_DIGEST_LEN and all(c in "0123456789abcdef" for c in value)
+    # one regex, not a loop per character: every check parses the image
+    # ids on its path
+    return _HEX_DIGEST.fullmatch(value) is not None
 
 
 def encode_text(data: bytes) -> str:

@@ -26,8 +26,9 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import clock, crypto
@@ -41,6 +42,7 @@ from .errors import (
     AmbiguousNodeError,
     RebuildDeniedError,
     SpockError,
+    TamperError,
 )
 from .records import (
     ImageId,
@@ -49,7 +51,6 @@ from .records import (
     MetaRecord,
     RecipeRecord,
     SCHEMA_VERSION,
-    canonical_json,
     STATUS_DISTRUSTED,
     STATUS_LIVE,
     STATUS_PURGED,
@@ -58,43 +59,15 @@ from .records import (
     record_bytes,
     record_type,
 )
+from .verify import ValidationEntry, ValidationReport, read_manifest, record_entries, record_ref
 
 LOG_NAME = "ledger.log"
 KEYS_DIR = "keys"
 ARCHIVE_DIR = "archive"
 INDEX_DIR = "index"
 LOCK_NAME = ".lock"
-
-
-@dataclass
-class ValidationEntry:
-    ref: str
-    check: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class ValidationReport:
-    entries: list[ValidationEntry] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def failures(self) -> list[ValidationEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checked": len(self.entries),
-            "failures": len(self.failures()),
-            "entries": [
-                {"ref": e.ref, "check": e.check, "ok": e.ok, "detail": e.detail}
-                for e in self.entries
-            ],
-        }
+# replay issues that mean the log itself was altered
+TAMPER_CHECKS = ("parse", "record-digest", "duplicate")
 
 
 @dataclass
@@ -310,22 +283,10 @@ class Ledger:
                 LoadIssue(
                     ref,
                     "record-digest",
-                    f"stored digest does not match record bytes ({self._ref_for(record)})",
+                    f"stored digest does not match record bytes ({record_ref(record)})",
                 )
             )
         self._apply(record, line_no)
-
-    @staticmethod
-    def _ref_for(record) -> str:
-        if isinstance(record, TrustedEntity):
-            return f"entity:{record.entity_id}"
-        if isinstance(record, RecipeRecord):
-            return f"recipe:{record.recipe_hash}"
-        if isinstance(record, ImageRecord):
-            return f"image:{record.image_id}"
-        if isinstance(record, LedgerEvent):
-            return f"event:{record.event}"
-        return "meta"
 
     def _apply(self, record, line_no: int) -> None:
         if isinstance(record, MetaRecord):
@@ -605,130 +566,21 @@ class Ledger:
             t = t + clock.SECOND
         return ImageId(built_at=t, recipe_hash=recipe_hash)
 
-    @property
-    def tampered(self) -> bool:
-        """True when replay found any corrupt or digest-mismatched line."""
-        return any(i.check in ("parse", "record-digest", "duplicate") for i in self.issues)
-
     # ------------------------------------------------------------------
     # validation
 
-    def validate_all(self, check_signatures: bool = True) -> ValidationReport:
-        report = ValidationReport()
+    def validate_all(self) -> ValidationReport:
+        report = ValidationReport(
+            [ValidationEntry(i.ref, i.check, False, i.detail) for i in self.issues]
+        )
         add = report.entries.append
-        for issue in self.issues:
-            add(ValidationEntry(issue.ref, issue.check, False, issue.detail))
-
         flagged = {i.ref for i in self.issues}
+        for record in (*self.entities.values(), *self.recipes.values(), *self.images.values()):
+            report.entries.extend(record_entries(self, record, flagged))
 
-        for entity in self.entities.values():
-            ref = f"entity:{entity.entity_id}"
-            key_ok = len(entity.public_key.raw) == 32
-            add(ValidationEntry(ref, "key-material", key_ok, "" if key_ok else "bad key length"))
-            if ref not in flagged:
-                add(ValidationEntry(ref, "record-digest", True))
-
-        for rec in self.recipes.values():
-            ref = f"recipe:{rec.recipe_hash}"
-            if ref not in flagged:
-                add(ValidationEntry(ref, "record-digest", True))
-            content_ok = crypto.digest(rec.content) == rec.recipe_hash
-            add(
-                ValidationEntry(
-                    ref, "content-hash", content_ok,
-                    "" if content_ok else "recipe hash does not match content",
-                )
-            )
-            kind_ok = (rec.kind == "child") == (rec.parent_image_id is not None)
-            add(ValidationEntry(ref, "kind-parent", kind_ok))
-            signer = self.entities.get(rec.signer_id)
-            if signer is None:
-                add(ValidationEntry(ref, "signer-known", False, f"unknown signer {rec.signer_id}"))
-            else:
-                add(ValidationEntry(ref, "signer-known", True))
-                if check_signatures:
-                    sig_ok = (
-                        rec.signature.signer_id == rec.signer_id
-                        and crypto.verify(rec.content, rec.signature, signer.public_key)
-                    )
-                    add(
-                        ValidationEntry(
-                            ref, "signature", sig_ok,
-                            "" if sig_ok else "signature does not verify",
-                        )
-                    )
-                if rec.status == STATUS_LIVE and signer.status == STATUS_DISTRUSTED:
-                    add(
-                        ValidationEntry(
-                            ref, "signer-trusted", False,
-                            f"live recipe signed by distrusted entity {rec.signer_id}",
-                        )
-                    )
-            if rec.parent_image_id is not None:
-                parent_ok = rec.parent_image_id in self.images
-                add(
-                    ValidationEntry(
-                        ref, "parent-known", parent_ok,
-                        "" if parent_ok else f"unknown parent image {rec.parent_image_id}",
-                    )
-                )
-
-        live_count: dict[str, int] = {}
-        for img in self.images.values():
-            ref = f"image:{img.image_id}"
-            if ref not in flagged:
-                add(ValidationEntry(ref, "record-digest", True))
-            try:
-                parsed = ImageId.parse(img.image_id)
-                id_ok = parsed.recipe_hash == img.recipe_hash
-            except SpockError:
-                id_ok = False
-            add(ValidationEntry(ref, "id-format", id_ok))
-            recipe = self.recipes.get(img.recipe_hash)
-            if recipe is None:
-                add(ValidationEntry(ref, "recipe-known", False, f"unknown recipe {img.recipe_hash}"))
-            else:
-                add(ValidationEntry(ref, "recipe-known", True))
-                mirror_ok = img.parent_image_id == recipe.parent_image_id
-                add(ValidationEntry(ref, "parent-mirrors-recipe", mirror_ok))
-            signer = self.entities.get(img.signer_id)
-            if signer is None:
-                add(ValidationEntry(ref, "signer-known", False, f"unknown signer {img.signer_id}"))
-            else:
-                add(ValidationEntry(ref, "signer-known", True))
-                if check_signatures:
-                    sig_ok = (
-                        img.signature.signer_id == img.signer_id
-                        and crypto.verify(img.signed_bytes(), img.signature, signer.public_key)
-                    )
-                    add(
-                        ValidationEntry(
-                            ref, "signature", sig_ok,
-                            "" if sig_ok else "signature does not verify",
-                        )
-                    )
-                if img.status == STATUS_LIVE and signer.status == STATUS_DISTRUSTED:
-                    add(
-                        ValidationEntry(
-                            ref, "signer-trusted", False,
-                            f"live image signed by distrusted entity {img.signer_id}",
-                        )
-                    )
-            if img.parent_image_id is not None:
-                parent = self.images.get(img.parent_image_id)
-                if parent is None:
-                    add(ValidationEntry(ref, "parent-known", False))
-                else:
-                    order_ok = img.built_at > parent.built_at
-                    add(
-                        ValidationEntry(
-                            ref, "parent-earlier", order_ok,
-                            "" if order_ok else "parent image is not strictly earlier",
-                        )
-                    )
-            if img.status == STATUS_LIVE:
-                live_count[img.recipe_hash] = live_count.get(img.recipe_hash, 0) + 1
-
+        live_count = Counter(
+            img.recipe_hash for img in self.images.values() if img.status == STATUS_LIVE
+        )
         for recipe_hash, n in live_count.items():
             if n > 1:
                 add(
@@ -743,18 +595,15 @@ class Ledger:
                 continue
             ref = f"event:{event.event}:{i}"
             bundle_id = event.data.get("bundle_id", "")
-            manifest_path = self.archive_root / bundle_id / "manifest.json"
-            if not manifest_path.is_file():
+            try:
+                read_manifest(self.archive_root, bundle_id)
+                bundle_ok = True
+            except NotFoundError:
                 add(ValidationEntry(ref, "bundle-present", False, f"missing bundle {bundle_id}"))
                 continue
-            add(ValidationEntry(ref, "bundle-present", True))
-            try:
-                manifest = json.loads(manifest_path.read_text())
-                body = {k: v for k, v in manifest.items() if k != "bundle_id"}
-                recomputed = crypto.digest(canonical_json(body))
-                bundle_ok = recomputed == bundle_id == manifest.get("bundle_id")
-            except (OSError, ValueError):
+            except (TamperError, OSError):
                 bundle_ok = False
+            add(ValidationEntry(ref, "bundle-present", True))
             add(
                 ValidationEntry(
                     ref, "bundle-manifest", bundle_ok,
@@ -777,35 +626,3 @@ class Ledger:
                 seen.add(cur.image_id)
                 cur = self.images.get(cur.parent_image_id) if cur.parent_image_id else None
         return False
-
-    def check_integrity(self) -> list[str]:
-        """Cheap structural check (no signature verification). Returns a
-        list of violation descriptions, empty when consistent."""
-        problems = [f"{i.ref}: {i.detail}" for i in self.issues]
-        for rec in self.recipes.values():
-            if rec.signer_id not in self.entities:
-                problems.append(f"recipe:{rec.recipe_hash}: unknown signer")
-            if rec.parent_image_id is not None and rec.parent_image_id not in self.images:
-                problems.append(f"recipe:{rec.recipe_hash}: unknown parent image")
-            if (rec.kind == "child") != (rec.parent_image_id is not None):
-                problems.append(f"recipe:{rec.recipe_hash}: kind/parent mismatch")
-        live: dict[str, list[str]] = {}
-        for img in self.images.values():
-            if img.recipe_hash not in self.recipes:
-                problems.append(f"image:{img.image_id}: unknown recipe")
-            if img.signer_id not in self.entities:
-                problems.append(f"image:{img.image_id}: unknown signer")
-            if img.status == STATUS_LIVE:
-                live.setdefault(img.recipe_hash, []).append(img.image_id)
-            if img.parent_image_id is not None:
-                parent = self.images.get(img.parent_image_id)
-                if parent is None:
-                    problems.append(f"image:{img.image_id}: unknown parent image")
-                elif img.built_at <= parent.built_at:
-                    problems.append(f"image:{img.image_id}: not strictly later than parent")
-        for recipe_hash, ids in live.items():
-            if len(ids) > 1:
-                problems.append(f"recipe:{recipe_hash}: {len(ids)} live images")
-        if self._has_cycle():
-            problems.append("ledger: parent cycle")
-        return problems

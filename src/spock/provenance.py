@@ -12,10 +12,10 @@ import json
 import os
 from dataclasses import dataclass
 
-from . import crypto
 from .errors import NotFoundError
 from .ledger import Ledger
-from .records import ImageRecord, RecipeRecord, STATUS_LIVE, STATUS_TRUSTED
+from .records import ImageRecord, RecipeRecord, STATUS_LIVE
+from .verify import MISSING, Problem, record_problems
 
 
 @dataclass(frozen=True)
@@ -107,63 +107,19 @@ def descendants(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> set[s
     return out
 
 
-def recipe_record_problems(ledger: Ledger, recipe: RecipeRecord) -> list[str]:
-    """Verify one recipe record: live, content-addressed correctly, and
-    signed by a currently trusted entity."""
-    problems: list[str] = []
-    rref = f"recipe:{recipe.recipe_hash}"
-    if recipe.status != STATUS_LIVE:
-        problems.append(f"purged:{rref}")
-    signer = ledger.entities.get(recipe.signer_id)
-    if signer is None:
-        problems.append(f"missing:entity:{recipe.signer_id}")
-    else:
-        if signer.status != STATUS_TRUSTED:
-            problems.append(f"untrusted-signer:{recipe.signer_id}")
-        if not (
-            recipe.signature.signer_id == recipe.signer_id
-            and crypto.verify(recipe.content, recipe.signature, signer.public_key)
-        ):
-            problems.append(f"signature-invalid:{rref}")
-    if crypto.digest(recipe.content) != recipe.recipe_hash:
-        problems.append(f"signature-invalid:{rref}")
-    return problems
-
-
-def image_record_problems(ledger: Ledger, image: ImageRecord) -> list[str]:
-    """Verify one image record: live and signed by a currently trusted
-    entity."""
-    problems: list[str] = []
-    iref = f"image:{image.image_id}"
-    if image.status != STATUS_LIVE:
-        problems.append(f"purged:{iref}")
-    signer = ledger.entities.get(image.signer_id)
-    if signer is None:
-        problems.append(f"missing:entity:{image.signer_id}")
-    else:
-        if signer.status != STATUS_TRUSTED:
-            problems.append(f"untrusted-signer:{image.signer_id}")
-        if not (
-            image.signature.signer_id == image.signer_id
-            and crypto.verify(image.signed_bytes(), image.signature, signer.public_key)
-        ):
-            problems.append(f"signature-invalid:{iref}")
-    return problems
-
-
-def lineage_problems(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[str]:
+def lineage_problems(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[Problem]:
     """Verify a node's full ancestry: every recipe and image on the path
-    live, signature-valid, and signed by a currently trusted entity.
-    Returns an ordered list of problem strings, empty when clean."""
-    problems: list[str] = []
+    passes its record checks, is live, and is signed by a currently
+    trusted entity. Returns the problems in path order, empty when clean."""
     try:
         path = lineage(ledger, node)
     except NotFoundError as exc:
-        return [f"missing:{exc.message}"]
+        return [Problem(MISSING, exc.message)]
+    problems: list[Problem] = []
     for pnode in path:
-        problems.extend(recipe_record_problems(ledger, ledger.get_recipe(pnode.recipe_hash)))
+        problems.extend(record_problems(ledger, ledger.get_recipe(pnode.recipe_hash)))
         if pnode.image_id is not None:
-            problems.extend(image_record_problems(ledger, ledger.get_image(pnode.image_id)))
+            problems.extend(record_problems(ledger, ledger.get_image(pnode.image_id)))
     return problems
 
 

@@ -14,6 +14,7 @@ whole ancestry are live, signed, and trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import clock, crypto
 from .crypto import PrivateKey
@@ -24,8 +25,10 @@ from .errors import (
     PurgedError,
     UntrustedSignerError,
 )
-from .ledger import Ledger
 from .records import KIND_CHILD, KIND_ROOT, RecipeRecord, STATUS_LIVE, STATUS_TRUSTED
+
+if TYPE_CHECKING:
+    from .ledger import Ledger
 
 INTERNAL_PREFIX = "trusted:"
 
@@ -83,7 +86,7 @@ def parse(text: str) -> Recipe:
     return Recipe(from_ref=from_ref, kind=kind, steps=tuple(steps), text=text)
 
 
-def _require_trusted(ledger: Ledger, signer: str) -> None:
+def require_trusted(ledger: Ledger, signer: str) -> None:
     entity = ledger.entities.get(signer)
     if entity is None or entity.status != STATUS_TRUSTED:
         raise UntrustedSignerError(f"signer is not a trusted entity: {signer}")
@@ -107,7 +110,7 @@ def register_root(
             "recipe references an internal image; register it with the child command"
         )
     with ledger.exclusive():
-        _require_trusted(ledger, signer)
+        require_trusted(ledger, signer)
         recipe_hash = crypto.digest(parsed.content)
         _check_hash_admissible(ledger, recipe_hash)
         record = RecipeRecord(
@@ -131,7 +134,7 @@ def register_child(
             "recipe references an external source; register it with the root command"
         )
     with ledger.exclusive():
-        _require_trusted(ledger, signer)
+        require_trusted(ledger, signer)
         recipe_hash = crypto.digest(parsed.content)
         _check_hash_admissible(ledger, recipe_hash)
         parent_id = parsed.parent_image_id
@@ -146,7 +149,7 @@ def register_child(
         problems = lineage_problems(ledger, parent)
         if problems:
             raise ParentRejectedError(
-                f"referenced image fails lineage verification: {'; '.join(problems)}"
+                f"referenced image fails lineage verification: {'; '.join(map(str, problems))}"
             )
         record = RecipeRecord(
             recipe_hash=recipe_hash,

@@ -40,8 +40,7 @@ from .records import (
     canonical_json,
     record_bytes,
 )
-
-MANIFEST_NAME = "manifest.json"
+from .verify import MANIFEST_NAME, read_manifest
 
 
 @dataclass
@@ -52,10 +51,6 @@ class ArchiveBundle:
     removed_recipes: list[RecipeRecord] = field(default_factory=list)
     removed_images: list[ImageRecord] = field(default_factory=list)
     manifest: dict = field(default_factory=dict)
-
-    @property
-    def item_count(self) -> int:
-        return len(self.removed_recipes) + len(self.removed_images)
 
 
 def _closure(ledger: Ledger, start_type: str, start_id: str) -> tuple[list[RecipeRecord], list[ImageRecord]]:
@@ -240,17 +235,7 @@ def list_archives(ledger: Ledger) -> list[dict]:
 def open_archive(ledger: Ledger, bundle_id: str) -> ArchiveBundle:
     """Load a bundle and verify its integrity against the manifest."""
     bundle_dir = ledger.archive_root / bundle_id
-    manifest_path = bundle_dir / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise NotFoundError(f"unknown archive bundle: {bundle_id}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:
-        raise TamperError(f"bundle manifest unreadable: {exc}") from exc
-    body = {k: v for k, v in manifest.items() if k != "bundle_id"}
-    recomputed = crypto.digest(canonical_json(body))
-    if recomputed != bundle_id or manifest.get("bundle_id") != bundle_id:
-        raise TamperError(f"bundle manifest does not match its id: {bundle_id}")
+    manifest = read_manifest(ledger.archive_root, bundle_id)
     bundle = ArchiveBundle(
         bundle_id=bundle_id,
         created_at=clock.parse_iso(manifest["created_at"]),

@@ -19,12 +19,14 @@ from datetime import datetime
 
 from . import clock
 from .errors import SpawnError
-from .ledger import Ledger
+from .ledger import TAMPER_CHECKS, Ledger
 from .provenance import lineage_problems
 from .records import LedgerEvent
+from .verify import SIGNATURE_INVALID, Problem
 
 VERDICT_ALLOW = "allow"
 VERDICT_DENY = "deny"
+UNKNOWN_IMAGE = "unknown-image"
 
 
 @dataclass(frozen=True)
@@ -50,20 +52,20 @@ class AdmissionDecision:
 def check_runnable(ledger: Ledger, image_id: str) -> AdmissionDecision:
     """Deny-by-default admission check over the image's full lineage."""
     ledger.refresh()
-    reasons: list[str] = []
-    if ledger.tampered:
-        for issue in ledger.issues:
-            if issue.check in ("parse", "record-digest", "duplicate"):
-                reasons.append(f"signature-invalid:{issue.ref}")
+    problems = [
+        Problem(SIGNATURE_INVALID, issue.ref)
+        for issue in ledger.issues
+        if issue.check in TAMPER_CHECKS
+    ]
     image = ledger.images.get(image_id)
     if image is None:
-        reasons.append(f"unknown-image:{image_id}")
+        problems.append(Problem(UNKNOWN_IMAGE, image_id))
     else:
-        reasons.extend(lineage_problems(ledger, image))
+        problems.extend(lineage_problems(ledger, image))
     decision = AdmissionDecision(
         image_id=image_id,
-        verdict=VERDICT_ALLOW if not reasons else VERDICT_DENY,
-        reasons=tuple(dict.fromkeys(reasons)),
+        verdict=VERDICT_ALLOW if not problems else VERDICT_DENY,
+        reasons=tuple(dict.fromkeys(map(str, problems))),
         checked_at=clock.now_utc(),
     )
     with ledger.exclusive():

@@ -1,0 +1,225 @@
+"""Record verification: the one place that decides whether an entity,
+recipe or image record is valid.
+
+``record_entries`` runs every per-record check on one record and returns
+one :class:`ValidationEntry` per check; ``Ledger.validate_all`` reports
+them for every record. ``record_problems`` turns the failing checks of a
+recipe or image into admission problems for ``check`` and ``build``, and
+adds the two predicates only admission asks for: the record is live, and
+its signer is trusted now.
+
+A recipe's ``kind`` and ``parent_image_id`` are not covered by its
+signature, so the ``kind-parent`` check re-derives both from the signed
+recipe text instead of trusting the stored fields.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+from . import crypto
+from .errors import NotFoundError, SpockError, TamperError
+from .recipe import parse
+from .records import (
+    ImageId,
+    ImageRecord,
+    LedgerEvent,
+    RecipeRecord,
+    STATUS_DISTRUSTED,
+    STATUS_LIVE,
+    STATUS_TRUSTED,
+    TrustedEntity,
+    canonical_json,
+)
+
+if TYPE_CHECKING:
+    from .ledger import Ledger
+
+MANIFEST_NAME = "manifest.json"
+
+PURGED = "purged"
+MISSING = "missing"
+UNTRUSTED_SIGNER = "untrusted-signer"
+SIGNATURE_INVALID = "signature-invalid"
+
+# the order a record's problems are reported in
+_ORDER = (PURGED, MISSING, UNTRUSTED_SIGNER, SIGNATURE_INVALID)
+# a failing check not listed here means the record cannot be believed
+_CHECK_CODES = {"signer-known": MISSING, "signer-trusted": UNTRUSTED_SIGNER}
+
+
+@dataclass
+class ValidationEntry:
+    ref: str
+    check: str
+    ok: bool
+    detail: str = ""
+
+
+@dataclass
+class ValidationReport:
+    entries: list[ValidationEntry] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(e.ok for e in self.entries)
+
+    def failures(self) -> list[ValidationEntry]:
+        return [e for e in self.entries if not e.ok]
+
+    def to_dict(self) -> dict:
+        return {
+            "ok": self.ok,
+            "checked": len(self.entries),
+            "failures": len(self.failures()),
+            "entries": [
+                {"ref": e.ref, "check": e.check, "ok": e.ok, "detail": e.detail}
+                for e in self.entries
+            ],
+        }
+
+
+@dataclass(frozen=True)
+class Problem:
+    """Why a node is not admissible: a code and the ref it names.
+    ``str()`` gives the reason string ``check`` prints."""
+
+    code: str
+    ref: str
+
+    def __str__(self) -> str:
+        return f"{self.code}:{self.ref}"
+
+
+def record_ref(record) -> str:
+    if isinstance(record, TrustedEntity):
+        return f"entity:{record.entity_id}"
+    if isinstance(record, RecipeRecord):
+        return f"recipe:{record.recipe_hash}"
+    if isinstance(record, ImageRecord):
+        return f"image:{record.image_id}"
+    if isinstance(record, LedgerEvent):
+        return f"event:{record.event}"
+    return "meta"
+
+
+def record_entries(ledger: Ledger, record, flagged: set[str]) -> list[ValidationEntry]:
+    """Every per-record check on an entity, recipe or image record, in the
+    order ``validate`` reports them. A record whose ref is in ``flagged``
+    already failed on replay and gets no passing ``record-digest`` entry."""
+    ref = record_ref(record)
+    checks = _CHECKS[type(record)](ledger, record, ref not in flagged)
+    return [ValidationEntry(ref, check, ok, detail) for check, ok, detail in checks]
+
+
+def record_problems(ledger: Ledger, record: RecipeRecord | ImageRecord) -> list[Problem]:
+    """Why one recipe or image record is not admissible now: its failing
+    checks, plus not live or signed by an entity not trusted now. At most
+    one problem per code."""
+    # no record-digest entry: it only ever passes here, replay reports failures
+    checks = _CHECKS[type(record)](ledger, record, False)
+    codes = {_CHECK_CODES.get(check, SIGNATURE_INVALID) for check, ok, _ in checks if not ok}
+    if record.status != STATUS_LIVE:
+        codes.add(PURGED)
+    signer = ledger.entities.get(record.signer_id)
+    if signer is not None and signer.status != STATUS_TRUSTED:
+        codes.add(UNTRUSTED_SIGNER)
+    if not codes:
+        return []
+    refs = {MISSING: f"entity:{record.signer_id}", UNTRUSTED_SIGNER: record.signer_id}
+    ref = record_ref(record)
+    return [Problem(code, refs.get(code, ref)) for code in _ORDER if code in codes]
+
+
+def read_manifest(archive_root: Path, bundle_id: str) -> dict:
+    """A bundle's manifest, checked against the id it is filed under.
+    Raises NotFoundError when it is absent and TamperError when it is
+    unreadable or its body does not digest to the id."""
+    path = archive_root / bundle_id / MANIFEST_NAME
+    if not path.is_file():
+        raise NotFoundError(f"unknown archive bundle: {bundle_id}")
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise TamperError(f"bundle manifest unreadable: {exc}") from exc
+    body = {k: v for k, v in manifest.items() if k != "bundle_id"}
+    if crypto.digest(canonical_json(body)) != bundle_id or manifest.get("bundle_id") != bundle_id:
+        raise TamperError(f"bundle manifest does not match its id: {bundle_id}")
+    return manifest
+
+
+def _entity_checks(ledger: Ledger, entity: TrustedEntity, digest_ok: bool):
+    key_ok = len(entity.public_key.raw) == 32
+    yield "key-material", key_ok, "" if key_ok else "bad key length"
+    if digest_ok:
+        yield "record-digest", True, ""
+
+
+def _recipe_checks(ledger: Ledger, rec: RecipeRecord, digest_ok: bool):
+    if digest_ok:
+        yield "record-digest", True, ""
+    content_ok = crypto.digest(rec.content) == rec.recipe_hash
+    yield "content-hash", content_ok, "" if content_ok else "recipe hash does not match content"
+    try:
+        parsed = parse(rec.text)
+        kind_ok = (parsed.kind, parsed.parent_image_id) == (rec.kind, rec.parent_image_id)
+    except (SpockError, UnicodeDecodeError):
+        kind_ok = False
+    yield "kind-parent", kind_ok, "" if kind_ok else "kind or parent differs from the signed FROM line"
+    yield from _signer_checks(ledger, rec, rec.content, "recipe")
+    if rec.parent_image_id is not None:
+        parent_ok = rec.parent_image_id in ledger.images
+        yield "parent-known", parent_ok, "" if parent_ok else f"unknown parent image {rec.parent_image_id}"
+
+
+def _image_checks(ledger: Ledger, img: ImageRecord, digest_ok: bool):
+    if digest_ok:
+        yield "record-digest", True, ""
+    image_id = _parse_id(img)
+    yield "id-format", image_id is not None and image_id.recipe_hash == img.recipe_hash, ""
+    recipe = ledger.recipes.get(img.recipe_hash)
+    if recipe is None:
+        yield "recipe-known", False, f"unknown recipe {img.recipe_hash}"
+    else:
+        yield "recipe-known", True, ""
+        yield "parent-mirrors-recipe", img.parent_image_id == recipe.parent_image_id, ""
+    yield from _signer_checks(ledger, img, img.signed_bytes(), "image")
+    if img.parent_image_id is not None:
+        parent = ledger.images.get(img.parent_image_id)
+        if parent is None:
+            yield "parent-known", False, ""
+        else:
+            parent_id = _parse_id(parent)
+            order_ok = (
+                image_id is not None
+                and parent_id is not None
+                and image_id.built_at > parent_id.built_at
+            )
+            yield "parent-earlier", order_ok, "" if order_ok else "parent image is not strictly earlier"
+
+
+def _parse_id(img: ImageRecord) -> ImageId | None:
+    try:
+        return ImageId.parse(img.image_id)
+    except SpockError:
+        return None
+
+
+def _signer_checks(ledger: Ledger, record: RecipeRecord | ImageRecord, signed: bytes, noun: str):
+    signer = ledger.entities.get(record.signer_id)
+    if signer is None:
+        yield "signer-known", False, f"unknown signer {record.signer_id}"
+        return
+    yield "signer-known", True, ""
+    sig_ok = record.signature.signer_id == record.signer_id and crypto.verify(
+        signed, record.signature, signer.public_key
+    )
+    yield "signature", sig_ok, "" if sig_ok else "signature does not verify"
+    if record.status == STATUS_LIVE and signer.status == STATUS_DISTRUSTED:
+        yield "signer-trusted", False, f"live {noun} signed by distrusted entity {record.signer_id}"
+
+
+_CHECKS = {TrustedEntity: _entity_checks, RecipeRecord: _recipe_checks, ImageRecord: _image_checks}

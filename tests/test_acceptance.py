@@ -196,7 +196,7 @@ def test_criterion_3_single_live_image_property(tmp_path, keypair, second_keypai
                 if img.status == "live":
                     live_per_recipe[img.recipe_hash] = live_per_recipe.get(img.recipe_hash, 0) + 1
             assert all(n <= 1 for n in live_per_recipe.values()), f"two live images in seq {seq}"
-            problems = ledger.check_integrity()
+            problems = ledger.validate_all().failures()
             assert problems == [], f"integrity broken in seq {seq}: {problems}"
         ledger.close()
 

@@ -9,6 +9,7 @@ import pytest
 
 from spock import builder, recipe, revocation
 from spock.builder import ExecEngine, MockEngine
+from spock.recipe import parse
 from spock.errors import (
     EngineError,
     NotFoundError,
@@ -19,21 +20,25 @@ from spock.errors import (
 from tests.conftest import ROOT_TEXT, register_and_build
 
 
+def _mock_build(text, parent_digest, seed):
+    return MockEngine(seed).build(parse(text), parent_digest, tag="")
+
+
 def test_mock_build_deterministic():
-    a = builder.mock_build(ROOT_TEXT, None, seed="s")
-    b = builder.mock_build(ROOT_TEXT, None, seed="s")
+    a = _mock_build(ROOT_TEXT, None, seed="s")
+    b = _mock_build(ROOT_TEXT, None, seed="s")
     assert a == b
 
 
 def test_mock_build_seed_changes_digest():
-    a, _ = builder.mock_build(ROOT_TEXT, None, seed="a")
-    b, _ = builder.mock_build(ROOT_TEXT, None, seed="b")
+    a = _mock_build(ROOT_TEXT, None, seed="a").image_digest
+    b = _mock_build(ROOT_TEXT, None, seed="b").image_digest
     assert a != b
 
 
 def test_mock_build_parent_changes_digest():
-    a, _ = builder.mock_build(ROOT_TEXT, None, seed="s")
-    b, _ = builder.mock_build(ROOT_TEXT, "f" * 64, seed="s")
+    a = _mock_build(ROOT_TEXT, None, seed="s").image_digest
+    b = _mock_build(ROOT_TEXT, "f" * 64, seed="s").image_digest
     assert a != b
 
 
@@ -41,11 +46,11 @@ def test_mock_digest_formula_matches_independent_recomputation():
     # recompute the advertised formula with hashlib alone
     text = "FROM alpine:3.18\nRUN echo hello\nRUN echo world\n"
     seed = "oracle"
-    image_digest, step_digests = builder.mock_build(text, None, seed=seed)
+    result = _mock_build(text, None, seed=seed)
     expected_image = hashlib.sha256(
         text.encode() + b"\x00" + b"alpine:3.18" + b"\x00" + seed.encode()
     ).hexdigest()
-    assert image_digest == expected_image
+    assert result.image_digest == expected_image
     steps = ["RUN echo hello", "RUN echo world"]
     expected_steps = tuple(
         hashlib.sha256(
@@ -53,13 +58,13 @@ def test_mock_digest_formula_matches_independent_recomputation():
         ).hexdigest()
         for i, step in enumerate(steps)
     )
-    assert step_digests == expected_steps
+    assert result.step_digests == expected_steps
 
 
 def test_mock_digest_formula_child_uses_parent_digest():
     parent_digest = "c" * 64
     text = "FROM trusted:20181001T120000Z-" + "a" * 64 + "\nRUN x\n"
-    image_digest, _ = builder.mock_build(text, parent_digest, seed="s")
+    image_digest = _mock_build(text, parent_digest, seed="s").image_digest
     expected = hashlib.sha256(
         text.encode() + b"\x00" + parent_digest.encode() + b"\x00" + b"s"
     ).hexdigest()

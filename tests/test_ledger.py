@@ -323,12 +323,6 @@ def test_duplicate_recipe_hash_rejected(trusted_ledger):
         recipe.register_root(ledger, ROOT_TEXT, signer, private)
 
 
-def test_check_integrity_clean(trusted_ledger):
-    ledger, signer, private = trusted_ledger
-    register_and_build(ledger, ROOT_TEXT, signer, private)
-    assert ledger.check_integrity() == []
-
-
 def test_index_summary_written(tmp_path, keypair):
     public, private = keypair
     ledger = Ledger.init(tmp_path / "ledger")

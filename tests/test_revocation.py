@@ -316,7 +316,7 @@ def test_remove_closure_matches_oracle_on_random_forests(tmp_path, keypair):
         assert got_recipes == want_recipes
         assert got_recipes == expected
         assert {i.image_id for i in bundle.removed_images} == want_images
-        assert ledger.check_integrity() == []
+        assert ledger.validate_all().failures() == []
         ledger.close()
 
 

@@ -1,0 +1,145 @@
+"""The one verification routine: forged fields the signature does not
+cover, reason mapping, and how many signature checks each caller pays."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+import spock.crypto
+from spock import Ledger, MockEngine, builder, crypto, recipe, rungate
+from spock.errors import SignatureInvalidError
+from spock.records import canonical_json
+from spock.verify import Problem, record_problems
+from tests.conftest import ROOT_TEXT, register_and_build
+
+
+def _rewrite_recipe_line(ledger: Ledger, recipe_hash: str, **fields) -> None:
+    """Change fields of a recipe's log line and recompute the line digest,
+    as anyone with write access to the log can."""
+    lines = ledger.log_path.read_bytes().split(b"\n")
+    for i, line in enumerate(lines):
+        if not line:
+            continue
+        _, rtype, payload_b64 = line.decode("ascii").split(" ")
+        data = json.loads(crypto.decode_text(payload_b64))
+        if rtype == "recipe" and data["recipe_hash"] == recipe_hash:
+            data.update(fields)
+            payload = canonical_json(data)
+            lines[i] = f"{crypto.digest(payload)} recipe {crypto.encode_text(payload)}".encode("ascii")
+            break
+    else:
+        raise AssertionError(f"no log line for recipe {recipe_hash}")
+    ledger.log_path.write_bytes(b"\n".join(lines))
+
+
+@pytest.fixture
+def two_roots_and_child(trusted_ledger):
+    """Roots A and B, each built, and child C registered from A's image."""
+    ledger, signer, private = trusted_ledger
+    _, image_a = register_and_build(ledger, ROOT_TEXT, signer, private)
+    _, image_b = register_and_build(ledger, "FROM debian:12\nRUN echo b\n", signer, private)
+    child = recipe.register_child(
+        ledger, f"FROM trusted:{image_a.image_id}\nRUN echo child\n", signer, private
+    )
+    return ledger, signer, private, image_a, image_b, child
+
+
+def test_forged_parent_of_built_child_is_denied(two_roots_and_child):
+    ledger, signer, private, image_a, image_b, child = two_roots_and_child
+    child_image = builder.build(ledger, child.recipe_hash, MockEngine(), signer, private)
+    _rewrite_recipe_line(ledger, child.recipe_hash, parent_image_id=image_b.image_id)
+
+    forged = Ledger.open(ledger.root, sync=False)
+    assert forged.issues == []  # the rewritten line carries a valid digest
+    decision = rungate.check_runnable(forged, child_image.image_id)
+    assert decision.verdict == "deny"
+    assert f"signature-invalid:image:{child_image.image_id}" in decision.reasons
+    assert f"signature-invalid:recipe:{child.recipe_hash}" in decision.reasons
+    failed = {(e.ref, e.check) for e in forged.validate_all().failures()}
+    assert (f"recipe:{child.recipe_hash}", "kind-parent") in failed
+    assert (f"image:{child_image.image_id}", "parent-mirrors-recipe") in failed
+
+
+def test_forged_parent_of_unbuilt_child_is_not_built(two_roots_and_child):
+    ledger, signer, private, image_a, image_b, child = two_roots_and_child
+    _rewrite_recipe_line(ledger, child.recipe_hash, parent_image_id=image_b.image_id)
+
+    forged = Ledger.open(ledger.root, sync=False)
+    assert forged.issues == []
+    with pytest.raises(SignatureInvalidError):
+        builder.build(forged, child.recipe_hash, MockEngine(), signer, private)
+    assert forged.images_of(child.recipe_hash) == []
+    report = forged.validate_all()
+    assert [(e.ref, e.check) for e in report.failures()] == [
+        (f"recipe:{child.recipe_hash}", "kind-parent")
+    ]
+
+
+def test_forged_kind_of_root_fails_kind_parent(trusted_ledger):
+    ledger, signer, private = trusted_ledger
+    rec, image = register_and_build(ledger, ROOT_TEXT, signer, private)
+    _rewrite_recipe_line(ledger, rec.recipe_hash, kind="child")
+
+    forged = Ledger.open(ledger.root, sync=False)
+    failed = [(e.ref, e.check) for e in forged.validate_all().failures()]
+    assert failed == [(f"recipe:{rec.recipe_hash}", "kind-parent")]
+    decision = rungate.check_runnable(forged, image.image_id)
+    assert decision.reasons == (f"signature-invalid:recipe:{rec.recipe_hash}",)
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe not utf-8\n", b"RUN echo no base\n"])
+def test_unparsable_content_fails_kind_parent_without_raising(trusted_ledger, content):
+    ledger, signer, private = trusted_ledger
+    rec, image = register_and_build(ledger, ROOT_TEXT, signer, private)
+    _rewrite_recipe_line(ledger, rec.recipe_hash, content=crypto.encode_text(content))
+
+    forged = Ledger.open(ledger.root, sync=False)
+    failed = {e.check for e in forged.validate_all().failures()}
+    assert {"content-hash", "kind-parent", "signature"} <= failed
+    assert rungate.check_runnable(forged, image.image_id).verdict == "deny"
+
+
+def test_unknown_signer_gives_missing_entity(trusted_ledger):
+    ledger, signer, private = trusted_ledger
+    rec, image = register_and_build(ledger, ROOT_TEXT, signer, private)
+    _rewrite_recipe_line(ledger, rec.recipe_hash, signer_id="mallory")
+
+    forged = Ledger.open(ledger.root, sync=False)
+    problems = record_problems(forged, forged.get_recipe(rec.recipe_hash))
+    assert problems == [Problem("missing", "entity:mallory")]
+    decision = rungate.check_runnable(forged, image.image_id)
+    assert decision.reasons == ("missing:entity:mallory",)
+
+
+def test_verify_counts_per_caller(trusted_ledger, monkeypatch):
+    ledger, signer, private = trusted_ledger
+    calls = [0]
+    real = spock.crypto.verify
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(spock.crypto, "verify", counting)
+    engine = MockEngine()
+    parent = None
+    for depth in range(1, 5):
+        if parent is None:
+            rec = recipe.register_root(ledger, f"FROM alpine\nRUN echo {depth}\n", signer, private)
+        else:
+            rec = recipe.register_child(
+                ledger, f"FROM trusted:{parent.image_id}\nRUN echo {depth}\n", signer, private
+            )
+        calls[0] = 0
+        parent = builder.build(ledger, rec.recipe_hash, engine, signer, private)
+        # two precondition passes (before the engine and inside the commit
+        # lock), each verifying the recipe and the 2(d-1) records above it
+        assert calls[0] == 2 * (1 + 2 * (depth - 1))
+        calls[0] = 0
+        assert rungate.check_runnable(ledger, parent.image_id).allowed
+        assert calls[0] == 2 * depth
+    calls[0] = 0
+    assert ledger.validate_all().ok
+    assert calls[0] == len(ledger.recipes) + len(ledger.images)
