@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from spock import Ledger, crypto, recipe, rungate
+from spock import Ledger, builder, crypto, recipe, rungate
+from spock.builder import MockEngine
 from spock.errors import (
     AlreadyRegisteredError,
     DuplicateEntityError,
@@ -321,6 +322,22 @@ def test_duplicate_recipe_hash_rejected(trusted_ledger):
     recipe.register_root(ledger, ROOT_TEXT, signer, private)
     with pytest.raises(AlreadyRegisteredError):
         recipe.register_root(ledger, ROOT_TEXT, signer, private)
+
+
+def test_check_integrity_clean(trusted_ledger):
+    ledger, signer, private = trusted_ledger
+    _, root_image = register_and_build(ledger, ROOT_TEXT, signer, private)
+    child = recipe.register_child(
+        ledger, f"FROM trusted:{root_image.image_id}\nRUN echo child\n", signer, private
+    )
+    builder.build(ledger, child.recipe_hash, MockEngine(seed="0"), signer, private)
+    report = ledger.validate_all()
+    assert report.failures() == []
+    # The structural checks are run on every recipe and image, the root and the child.
+    checks = {e.check for e in report.entries}
+    for check in ("signer-known", "recipe-known", "parent-known", "kind-parent",
+                  "parent-earlier", "parent-mirrors-recipe", "parent-forest"):
+        assert check in checks
 
 
 def test_index_summary_written(tmp_path, keypair):
