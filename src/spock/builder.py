@@ -15,9 +15,6 @@ touching any ledger status.
 from __future__ import annotations
 
 import re
-import shlex
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,6 +132,10 @@ class ExecEngine:
         self.command_template = command_template
 
     def build(self, recipe: Recipe, parent_digest: str | None, tag: str) -> BuildResult:
+        import shlex
+        import subprocess
+        import tempfile
+
         with tempfile.TemporaryDirectory(prefix="spock-build-") as scratch:
             recipe_path = Path(scratch) / "Dockerfile"
             recipe_path.write_text(recipe.text, encoding="utf-8")

@@ -20,7 +20,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from cryptography.hazmat.primitives import serialization
+# ``serialization`` is imported inside the PEM functions only, so commands
+# that read no key file do not pay for its import at start-up.
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -69,6 +70,8 @@ class PublicKey:
         return cls(algorithm=algorithm, raw=decode_text(text))
 
     def to_pem(self) -> str:
+        from cryptography.hazmat.primitives import serialization
+
         pub = Ed25519PublicKey.from_public_bytes(self.raw)
         return pub.public_bytes(
             encoding=serialization.Encoding.PEM,
@@ -77,17 +80,15 @@ class PublicKey:
 
     @classmethod
     def from_pem(cls, pem: str) -> "PublicKey":
+        from cryptography.hazmat.primitives import serialization
+
         try:
             key = serialization.load_pem_public_key(pem.encode("ascii"))
         except Exception as exc:
             raise SpockError(f"cannot load public key: {exc}") from exc
         if not isinstance(key, Ed25519PublicKey):
             raise SpockError("public key is not an Ed25519 key")
-        raw = key.public_bytes(
-            encoding=serialization.Encoding.Raw,
-            format=serialization.PublicFormat.Raw,
-        )
-        return cls(algorithm=ALGORITHM, raw=raw)
+        return cls(algorithm=ALGORITHM, raw=key.public_bytes_raw())
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,11 @@ class PrivateKey:
 
     def public_key(self) -> PublicKey:
         priv = Ed25519PrivateKey.from_private_bytes(self.raw)
-        raw = priv.public_key().public_bytes(
-            encoding=serialization.Encoding.Raw,
-            format=serialization.PublicFormat.Raw,
-        )
-        return PublicKey(algorithm=self.algorithm, raw=raw)
+        return PublicKey(algorithm=self.algorithm, raw=priv.public_key().public_bytes_raw())
 
     def to_pem(self) -> str:
+        from cryptography.hazmat.primitives import serialization
+
         priv = Ed25519PrivateKey.from_private_bytes(self.raw)
         return priv.private_bytes(
             encoding=serialization.Encoding.PEM,
@@ -113,18 +112,15 @@ class PrivateKey:
 
     @classmethod
     def from_pem(cls, pem: str) -> "PrivateKey":
+        from cryptography.hazmat.primitives import serialization
+
         try:
             key = serialization.load_pem_private_key(pem.encode("ascii"), password=None)
         except Exception as exc:
             raise SpockError(f"cannot load private key: {exc}") from exc
         if not isinstance(key, Ed25519PrivateKey):
             raise SpockError("private key is not an Ed25519 key")
-        raw = key.private_bytes(
-            encoding=serialization.Encoding.Raw,
-            format=serialization.PrivateFormat.Raw,
-            encryption_algorithm=serialization.NoEncryption(),
-        )
-        return cls(algorithm=ALGORITHM, raw=raw)
+        return cls(algorithm=ALGORITHM, raw=key.private_bytes_raw())
 
 
 @dataclass(frozen=True)
@@ -151,16 +147,10 @@ class Signature:
 
 def keygen() -> tuple[PublicKey, PrivateKey]:
     priv = Ed25519PrivateKey.generate()
-    raw_priv = priv.private_bytes(
-        encoding=serialization.Encoding.Raw,
-        format=serialization.PrivateFormat.Raw,
-        encryption_algorithm=serialization.NoEncryption(),
+    return (
+        PublicKey(ALGORITHM, priv.public_key().public_bytes_raw()),
+        PrivateKey(ALGORITHM, priv.private_bytes_raw()),
     )
-    raw_pub = priv.public_key().public_bytes(
-        encoding=serialization.Encoding.Raw,
-        format=serialization.PublicFormat.Raw,
-    )
-    return PublicKey(ALGORITHM, raw_pub), PrivateKey(ALGORITHM, raw_priv)
 
 
 def sign(content: bytes, key: PrivateKey, signer_id: str) -> Signature:

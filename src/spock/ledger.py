@@ -3,6 +3,7 @@
 Layout of a ledger directory:
 
     ledger.log   append-only record log (authoritative)
+    audit.log    append-only admission decisions (never replayed)
     keys/        trusted public keys as PEM files (distribution copies)
     archive/     forensic bundles written by revocations
     index/       rebuildable summary, never read back (not authoritative)
@@ -19,6 +20,10 @@ Concurrency: one writer at a time, enforced with an exclusive flock on
 flock while they catch up on newly appended lines. A crash can only tear
 the final line; an incomplete final line is discarded on replay and
 truncated away by the next writer.
+
+``audit.log`` holds admission decisions in the same line format. It is
+not trust input: ``open`` never replays it, each append takes a flock on
+the file itself rather than ``.lock``, and only ``validate`` reads it.
 """
 
 from __future__ import annotations
@@ -62,12 +67,25 @@ from .records import (
 from .verify import ValidationEntry, ValidationReport, read_manifest, record_entries, record_ref
 
 LOG_NAME = "ledger.log"
+AUDIT_NAME = "audit.log"
 KEYS_DIR = "keys"
 ARCHIVE_DIR = "archive"
 INDEX_DIR = "index"
 LOCK_NAME = ".lock"
 # replay issues that mean the log itself was altered
 TAMPER_CHECKS = ("parse", "record-digest", "duplicate")
+# Per audit.log path: the identity of the file as this process last
+# parsed it or appended to it, and the issues it then had. validate parses
+# the file again only when its identity changed, and Ledger.audit carries
+# the issues over its own well-formed line, so a process that validates
+# after every check does not re-parse the whole history each time.
+_verified_audit: dict[Path, tuple[tuple, tuple]] = {}
+
+
+def _file_identity(st: os.stat_result) -> tuple:
+    # an in-place rewrite that keeps the size still moves ctime, which
+    # cannot be set back (with coarse timestamps, only from the next tick)
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
 @dataclass
@@ -79,6 +97,35 @@ class LoadIssue:
 
 def format_log_line(rec_digest: str, rtype: str, payload: bytes) -> bytes:
     return f"{rec_digest} {rtype} {crypto.encode_text(payload)}\n".encode("ascii")
+
+
+def parse_log_line(line: bytes, ref: str, issues: list[LoadIssue]):
+    """Decode one log line; return its record, or None when it does not
+    parse. Every problem found is added to ``issues`` under ``ref``."""
+    try:
+        text = line.decode("ascii")
+        stored_digest, rtype, payload_b64 = text.split(" ")
+        payload = crypto.decode_text(payload_b64)
+        data = json.loads(payload)
+        if data.get("record") != rtype:
+            raise SpockError("record type token mismatch")
+        record = load_record(rtype, data)
+    except Exception as exc:
+        issues.append(LoadIssue(ref, "parse", f"corrupt log line: {exc}"))
+        return None
+    if crypto.encode_text(payload) != payload_b64:
+        # decodes, but not to the exact bytes we would have written:
+        # the line was altered into a non-canonical encoding
+        issues.append(LoadIssue(ref, "record-digest", "non-canonical record encoding"))
+    if crypto.digest(payload) != stored_digest:
+        issues.append(
+            LoadIssue(
+                ref,
+                "record-digest",
+                f"stored digest does not match record bytes ({record_ref(record)})",
+            )
+        )
+    return record
 
 
 class Ledger:
@@ -96,7 +143,6 @@ class Ledger:
         self.issues: list[LoadIssue] = []
         self._images_by_recipe: dict[str, list[str]] = {}
         self._children_by_image: dict[str, list[str]] = {}
-        self._record_lines: dict[str, int] = {}
         self._offset = 0
         self._line_no = 0
         self._torn_tail = False
@@ -150,6 +196,10 @@ class Ledger:
     @property
     def log_path(self) -> Path:
         return self.root / LOG_NAME
+
+    @property
+    def audit_path(self) -> Path:
+        return self.root / AUDIT_NAME
 
     @property
     def archive_root(self) -> Path:
@@ -230,7 +280,6 @@ class Ledger:
         self.issues = []
         self._images_by_recipe = {}
         self._children_by_image = {}
-        self._record_lines = {}
         self._offset = 0
         self._line_no = 0
         self._torn_tail = False
@@ -248,7 +297,9 @@ class Ledger:
             pos = nl + 1
             self._offset += len(line) + 1
             self._line_no += 1
-            self._replay_line(line, self._line_no)
+            record = parse_log_line(line, f"line:{self._line_no}", self.issues)
+            if record is not None:
+                self._apply(record)
 
     def _repair_torn_tail(self) -> None:
         if not self._torn_tail:
@@ -259,36 +310,7 @@ class Ledger:
                 os.fsync(fh.fileno())
         self._torn_tail = False
 
-    def _replay_line(self, line: bytes, line_no: int) -> None:
-        ref = f"line:{line_no}"
-        try:
-            text = line.decode("ascii")
-            stored_digest, rtype, payload_b64 = text.split(" ")
-            payload = crypto.decode_text(payload_b64)
-            data = json.loads(payload)
-            if data.get("record") != rtype:
-                raise SpockError("record type token mismatch")
-            record = load_record(rtype, data)
-        except Exception as exc:
-            self.issues.append(LoadIssue(ref, "parse", f"corrupt log line: {exc}"))
-            return
-        if crypto.encode_text(payload) != payload_b64:
-            # decodes, but not to the exact bytes we would have written:
-            # the line was altered into a non-canonical encoding
-            self.issues.append(
-                LoadIssue(ref, "record-digest", "non-canonical record encoding")
-            )
-        if crypto.digest(payload) != stored_digest:
-            self.issues.append(
-                LoadIssue(
-                    ref,
-                    "record-digest",
-                    f"stored digest does not match record bytes ({record_ref(record)})",
-                )
-            )
-        self._apply(record, line_no)
-
-    def _apply(self, record, line_no: int) -> None:
+    def _apply(self, record) -> None:
         if isinstance(record, MetaRecord):
             if self.meta is None:
                 self.meta = record
@@ -301,7 +323,6 @@ class Ledger:
                 )
                 return
             self.entities[record.entity_id] = record
-            self._record_lines[f"entity:{record.entity_id}"] = line_no
         elif isinstance(record, RecipeRecord):
             if record.recipe_hash in self.recipes:
                 self.issues.append(
@@ -309,7 +330,6 @@ class Ledger:
                 )
                 return
             self.recipes[record.recipe_hash] = record
-            self._record_lines[f"recipe:{record.recipe_hash}"] = line_no
             if record.parent_image_id is not None:
                 self._children_by_image.setdefault(record.parent_image_id, []).append(
                     record.recipe_hash
@@ -321,11 +341,9 @@ class Ledger:
                 )
                 return
             self.images[record.image_id] = record
-            self._record_lines[f"image:{record.image_id}"] = line_no
             self._images_by_recipe.setdefault(record.recipe_hash, []).append(record.image_id)
         elif isinstance(record, LedgerEvent):
             self.events.append(record)
-            self._record_lines[f"event-line:{line_no}"] = line_no
             if record.event in ("remove", "distrust"):
                 self._apply_purge_event(record)
 
@@ -378,9 +396,65 @@ class Ledger:
                 os.fsync(fh.fileno())
         self._offset += len(line)
         self._line_no += 1
-        self._apply(record, self._line_no)
+        self._apply(record)
         self._write_index_summary()
         return rec_digest
+
+    def audit(self, record) -> str:
+        """Append one record to ``audit.log``: no ``.lock``, no replay, no
+        index rewrite. Appends from concurrent processes are serialized by
+        a flock on the audit file itself, under which a torn tail left by
+        a crashed writer is truncated first."""
+        payload = record_bytes(record)
+        rec_digest = crypto.digest(payload)
+        line = format_log_line(rec_digest, record_type(record), payload)
+        fd = os.open(self.audit_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            before = os.fstat(fd)
+            size = before.st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                # torn tail: cut back to the last complete line
+                os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
+            os.write(fd, line)
+            if self.sync:
+                os.fsync(fd)
+            seen = _verified_audit.get(self.audit_path)
+            if seen is not None and seen[0] == _file_identity(before):
+                _verified_audit[self.audit_path] = (_file_identity(os.fstat(fd)), seen[1])
+        finally:
+            os.close(fd)  # releases the flock
+        return rec_digest
+
+    def read_audit(self) -> tuple[list, list[LoadIssue]]:
+        """Parse ``audit.log`` with the replay parser: (records, issues),
+        each issue's ref ``audit:line:<n>``. A torn final line is a crash
+        artifact, not an entry."""
+        try:
+            with open(self.audit_path, "rb") as fh:
+                fcntl.flock(fh, fcntl.LOCK_SH)
+                identity = _file_identity(os.fstat(fh.fileno()))
+                data = fh.read()
+        except FileNotFoundError:
+            return [], []
+        records: list = []
+        issues: list[LoadIssue] = []
+        for n, line in enumerate(data.split(b"\n")[:-1], 1):
+            record = parse_log_line(line, f"audit:line:{n}", issues)
+            if record is not None:
+                records.append(record)
+        _verified_audit[self.audit_path] = (identity, tuple(issues))
+        return records, issues
+
+    def _audit_issues(self) -> tuple[LoadIssue, ...]:
+        try:
+            identity = _file_identity(self.audit_path.stat())
+        except FileNotFoundError:
+            return ()
+        seen = _verified_audit.get(self.audit_path)
+        if seen is None or seen[0] != identity:
+            return tuple(self.read_audit()[1])
+        return seen[1]
 
     def _write_index_summary(self) -> None:
         # Best-effort rebuildable cache; never read back as authority,
@@ -571,7 +645,10 @@ class Ledger:
 
     def validate_all(self) -> ValidationReport:
         report = ValidationReport(
-            [ValidationEntry(i.ref, i.check, False, i.detail) for i in self.issues]
+            [
+                ValidationEntry(i.ref, i.check, False, i.detail)
+                for i in (*self.issues, *self._audit_issues())
+            ]
         )
         add = report.entries.append
         flagged = {i.ref for i in self.issues}

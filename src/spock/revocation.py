@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -104,6 +103,8 @@ def _write_bundle(
     the bundle_id key itself), so any later edit to the manifest or to an
     archived record is detectable.
     """
+    import shutil
+
     items = []
     payloads: dict[str, bytes] = {}
     for rec in recipes:

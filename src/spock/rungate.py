@@ -4,16 +4,15 @@ An image is runnable only when its whole story checks out: the image and
 its recipe are live and signature-valid, every ancestor up to the root
 is live and signature-valid, and every signer on that path is still
 trusted. Unknown images are denied, not errored, and any detected
-tampering of the ledger denies everything: an audit log that lies is
-worse than no log.
+tampering of ``ledger.log`` denies everything: a log that lies is worse
+than no log.
 
-Every decision is itself appended to the audit history.
+Every decision is written to the ledger's ``audit.log``, which is history
+only: it is never replayed and never decides a later check.
 """
 
 from __future__ import annotations
 
-import shlex
-import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -68,8 +67,7 @@ def check_runnable(ledger: Ledger, image_id: str) -> AdmissionDecision:
         reasons=tuple(dict.fromkeys(map(str, problems))),
         checked_at=clock.now_utc(),
     )
-    with ledger.exclusive():
-        ledger.append(LedgerEvent(event="admission", at=decision.checked_at, data=decision.to_dict()))
+    ledger.audit(LedgerEvent(event="admission", at=decision.checked_at, data=decision.to_dict()))
     return decision
 
 
@@ -84,6 +82,9 @@ class RunOutcome:
 def run(ledger: Ledger, image_id: str, command_template: str) -> RunOutcome:
     """Gate, then launch: spawn the configured run command only when the
     admission check allows, and propagate the child's exit status."""
+    import shlex
+    import subprocess
+
     decision = check_runnable(ledger, image_id)
     if not decision.allowed:
         return RunOutcome(decision=decision, spawned=False)

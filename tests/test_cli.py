@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -302,3 +304,15 @@ def test_tree_json_stdout(workspace, capsys):
     assert cli.main(["tree"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert {n["hash"] for n in data["nodes"]} == {rec["recipe_hash"]}
+
+
+def test_cli_import_loads_no_subprocess_or_key_serialization():
+    # site already imports tempfile and shutil, so only these are asserted
+    lazy = ("subprocess", "cryptography.hazmat.primitives.serialization")
+    probe = f"import sys, spock.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    src = Path(cli.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    ).stdout
+    assert out.strip() == "[]"
