@@ -161,7 +161,7 @@ class ExecEngine:
 
 def _build_preconditions(
     ledger: Ledger, recipe_hash: str, signer: str
-) -> tuple[Recipe, str | None]:
+) -> tuple[Recipe, ImageRecord | None]:
     record = ledger.recipes.get(recipe_hash)
     if record is None:
         raise NotFoundError(f"unknown recipe: {recipe_hash}")
@@ -178,13 +178,13 @@ def _build_preconditions(
     # recipe's own previous (now purged) image is deliberately not a
     # problem here, since removal is exactly what permits rebuilding
     problems = record_problems(ledger, record)
-    parent_digest = None
-    if record.parent_image_id is not None:
-        parent = ledger.images.get(record.parent_image_id)
+    parent_id = ledger.parent_of(recipe_hash)
+    parent = None
+    if parent_id is not None:
+        parent = ledger.images.get(parent_id)
         if parent is None:
-            raise NotFoundError(f"parent image missing: {record.parent_image_id}")
+            raise NotFoundError(f"parent image missing: {parent_id}")
         problems.extend(lineage_problems(ledger, parent))
-        parent_digest = parent.image_digest
     if problems:
         codes = {p.code for p in problems}
         if UNTRUSTED_SIGNER in codes:
@@ -194,8 +194,7 @@ def _build_preconditions(
         else:
             error = SignatureInvalidError
         raise error(f"recipe lineage fails verification: {'; '.join(map(str, problems))}")
-    parsed = parse(record.text)
-    return parsed, parent_digest
+    return parse(record.text), parent
 
 
 def build(
@@ -212,18 +211,17 @@ def build(
     stores nothing.
     """
     ledger.refresh()
-    parsed, parent_digest = _build_preconditions(ledger, recipe_hash, signer)
+    parsed, parent = _build_preconditions(ledger, recipe_hash, signer)
     # OCI repository names are lower-case; the stamp's T and Z are not
     tag = f"{clock.iso_basic(clock.now_utc())}-{recipe_hash}".lower()
-    result = engine.build(parsed, parent_digest, tag=tag)
+    result = engine.build(parsed, None if parent is None else parent.image_digest, tag=tag)
     with ledger.exclusive():
-        _build_preconditions(ledger, recipe_hash, signer)
-        record = ledger.recipes[recipe_hash]
-        image_id = ledger.allocate_image_id(recipe_hash, _parent_image(ledger, record))
+        _, parent = _build_preconditions(ledger, recipe_hash, signer)
+        image_id = ledger.allocate_image_id(recipe_hash, parent)
         image = ImageRecord(
             image_id=image_id.render(),
             recipe_hash=recipe_hash,
-            parent_image_id=record.parent_image_id,
+            parent_image_id=None if parent is None else parent.image_id,
             image_digest=result.image_digest,
             step_digests=result.step_digests,
             signature=crypto.Signature(crypto.ALGORITHM, b"", signer),
@@ -231,12 +229,6 @@ def build(
         )
         image.signature = crypto.sign(image.signed_bytes(), private_key, signer)
         return ledger.put_image(image)
-
-
-def _parent_image(ledger: Ledger, record) -> ImageRecord | None:
-    if record.parent_image_id is None:
-        return None
-    return ledger.images.get(record.parent_image_id)
 
 
 def diff_rebuild(ledger: Ledger, image_id: str, engine) -> DiffReport:

@@ -141,15 +141,9 @@ def _engine_for(args: argparse.Namespace, cfg: Config):
     return builder.ExecEngine(cfg.build_command)
 
 
-def _recipe_dict(rec) -> dict:
-    data = rec.to_record_dict()
-    data["status"] = rec.status
-    return data
-
-
-def _image_dict(img) -> dict:
-    data = img.to_record_dict()
-    data["status"] = img.status
+def _record_dict(record) -> dict:
+    data = record.to_record_dict()
+    data["status"] = record.status
     return data
 
 
@@ -225,7 +219,7 @@ def cmd_root(args, cfg: Config) -> int:
     ledger = cfg.open_ledger()
     text = _read_recipe_text(args.file)
     rec = recipe.register_root(ledger, text, cfg.signer, cfg.private_key())
-    _emit(args, f"registered root recipe {rec.recipe_hash}", _recipe_dict(rec))
+    _emit(args, f"registered root recipe {rec.recipe_hash}", _record_dict(rec))
     return 0
 
 
@@ -236,7 +230,7 @@ def cmd_child(args, cfg: Config) -> int:
     _emit(
         args,
         f"registered child recipe {rec.recipe_hash} (parent {rec.parent_image_id})",
-        _recipe_dict(rec),
+        _record_dict(rec),
     )
     return 0
 
@@ -249,7 +243,7 @@ def cmd_build(args, cfg: Config) -> int:
     image = builder.build(
         ledger, record.recipe_hash, _engine_for(args, cfg), cfg.signer, cfg.private_key()
     )
-    _emit(args, f"built image {image.image_id}", _image_dict(image))
+    _emit(args, f"built image {image.image_id}", _record_dict(image))
     return 0
 
 
@@ -278,7 +272,7 @@ def cmd_list(args, cfg: Config) -> int:
     _emit(
         args,
         "\n".join(lines) if lines else "no recipes",
-        [_recipe_dict(r) for r in recipes],
+        [_record_dict(r) for r in recipes],
     )
     return 0
 
@@ -308,7 +302,7 @@ def cmd_images(args, cfg: Config) -> int:
     _emit(
         args,
         "\n".join(lines) if lines else "no images",
-        [_image_dict(i) for i in images],
+        [_record_dict(i) for i in images],
     )
     return 0
 
@@ -327,7 +321,7 @@ def cmd_info(args, cfg: Config) -> int:
             f"parent image: {record.parent_image_id or '-'}",
             f"images: {', '.join(i.image_id for i in images) or '-'}",
         ]
-        payload = _recipe_dict(record)
+        payload = _record_dict(record)
     else:
         lines = [
             f"image: {record.image_id}",
@@ -338,7 +332,7 @@ def cmd_info(args, cfg: Config) -> int:
             f"image digest: {record.image_digest}",
             f"steps recorded: {len(record.step_digests)}",
         ]
-        payload = _image_dict(record)
+        payload = _record_dict(record)
     _emit(args, "\n".join(lines), payload)
     return 0
 

@@ -49,6 +49,7 @@ from .errors import (
     SpockError,
     TamperError,
 )
+from .recipe import signed_link
 from .records import (
     ImageId,
     ImageRecord,
@@ -134,21 +135,10 @@ class Ledger:
     def __init__(self, root: Path, sync: bool = True):
         self.root = Path(root)
         self.sync = sync
-        self.entities: dict[str, TrustedEntity] = {}
-        self.recipes: dict[str, RecipeRecord] = {}
-        self.images: dict[str, ImageRecord] = {}
-        self.events: list[LedgerEvent] = []
-        self.archives: dict[str, dict] = {}
-        self.meta: MetaRecord | None = None
-        self.issues: list[LoadIssue] = []
-        self._images_by_recipe: dict[str, list[str]] = {}
-        self._children_by_image: dict[str, list[str]] = {}
-        self._offset = 0
-        self._line_no = 0
-        self._torn_tail = False
         self._lock_fd: int | None = None
         self._lock_depth = 0
         self._lock_mode: str | None = None
+        self._reset_state()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -271,15 +261,17 @@ class Ledger:
         self._consume(data)
 
     def _reset_state(self) -> None:
-        self.entities = {}
-        self.recipes = {}
-        self.images = {}
-        self.events = []
-        self.archives = {}
-        self.meta = None
-        self.issues = []
-        self._images_by_recipe = {}
-        self._children_by_image = {}
+        """Declare and clear everything replay builds."""
+        self.entities: dict[str, TrustedEntity] = {}
+        self.recipes: dict[str, RecipeRecord] = {}
+        self.images: dict[str, ImageRecord] = {}
+        self.events: list[LedgerEvent] = []
+        self.archives: dict[str, dict] = {}
+        self.meta: MetaRecord | None = None
+        self.issues: list[LoadIssue] = []
+        self._images_by_recipe: dict[str, list[str]] = {}
+        self._links: dict[str, tuple[str, str | None] | None] = {}
+        self._children_by_image: dict[str, list[str]] = {}
         self._offset = 0
         self._line_no = 0
         self._torn_tail = False
@@ -330,10 +322,9 @@ class Ledger:
                 )
                 return
             self.recipes[record.recipe_hash] = record
-            if record.parent_image_id is not None:
-                self._children_by_image.setdefault(record.parent_image_id, []).append(
-                    record.recipe_hash
-                )
+            link = self._links[record.recipe_hash] = signed_link(record.content)
+            if link is not None and link[1] is not None:
+                self._children_by_image.setdefault(link[1], []).append(record.recipe_hash)
         elif isinstance(record, ImageRecord):
             if record.image_id in self.images:
                 self.issues.append(
@@ -505,10 +496,10 @@ class Ledger:
                 raise AlreadyRegisteredError(
                     f"recipe already recorded: {record.recipe_hash}"
                 )
+            if signed_link(record.content) != (record.kind, record.parent_image_id):
+                raise IntegrityError("kind or parent differs from the signed FROM line")
             if record.parent_image_id is not None and record.parent_image_id not in self.images:
                 raise IntegrityError(f"unknown parent image: {record.parent_image_id}")
-            if (record.kind == "child") != (record.parent_image_id is not None):
-                raise IntegrityError("child recipes and only child recipes have a parent image")
             self.append(record)
         return record
 
@@ -519,7 +510,7 @@ class Ledger:
             recipe = self.recipes.get(record.recipe_hash)
             if recipe is None:
                 raise IntegrityError(f"unknown recipe: {record.recipe_hash}")
-            if record.parent_image_id != recipe.parent_image_id:
+            if record.parent_image_id != self.parent_of(record.recipe_hash):
                 raise IntegrityError("image parent does not mirror its recipe's parent")
             if record.image_id in self.images:
                 raise IntegrityError(f"duplicate image id: {record.image_id}")
@@ -620,6 +611,17 @@ class Ledger:
             if img.status == STATUS_LIVE:
                 return img
         return None
+
+    def link(self, recipe_hash: str) -> tuple[str, str | None] | None:
+        """(kind, parent image id) that a recipe's signed FROM line gives,
+        None when its text does not decode or parse."""
+        return self._links.get(recipe_hash)
+
+    def parent_of(self, recipe_hash: str) -> str | None:
+        """The image a recipe extends, as its signed FROM line names it;
+        None for a root or a recipe whose text does not parse."""
+        link = self._links.get(recipe_hash)
+        return None if link is None else link[1]
 
     def child_recipes_of_image(self, image_id: str) -> list[RecipeRecord]:
         hashes = self._children_by_image.get(image_id, [])

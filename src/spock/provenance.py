@@ -1,9 +1,10 @@
 """Lineage and audit queries over the recipe/image forest.
 
-A node is a recipe together with the images built from it. Child recipes
-point at the specific parent image they extend, which makes the upward
-path from any node to its root unique. Purged nodes stay queryable and
-are flagged rather than hidden, because the history is append-only.
+A node is a recipe together with the images built from it. A child
+recipe's signed FROM line names the specific parent image it extends,
+which makes the upward path from any node to its root unique. Purged
+nodes stay queryable and are flagged rather than hidden, because the
+history is append-only.
 """
 
 from __future__ import annotations
@@ -54,32 +55,36 @@ def _display_image_for(ledger: Ledger, recipe: RecipeRecord) -> ImageRecord | No
     return images[-1]
 
 
-def lineage(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[LineageNode]:
-    """Unique path from a node's root down to the node itself."""
+def _path(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[tuple[RecipeRecord, ImageRecord | None]]:
+    """(recipe, image) pairs from a node's root down to the node, each
+    recipe's parent taken from its signed FROM line."""
     recipe, image = _node_recipe(ledger, node)
     if image is None:
         image = _display_image_for(ledger, recipe)
-    path: list[LineageNode] = []
-    while True:
-        path.append(
-            LineageNode(
-                recipe_hash=recipe.recipe_hash,
-                image_id=image.image_id if image is not None else None,
-                signer_id=recipe.signer_id,
-                kind=recipe.kind,
-                recipe_status=recipe.status,
-                image_status=image.status if image is not None else None,
-            )
-        )
-        if recipe.parent_image_id is None:
-            break
-        parent_image = ledger.images.get(recipe.parent_image_id)
-        if parent_image is None:
-            raise NotFoundError(f"lineage broken: missing image {recipe.parent_image_id}")
-        recipe = ledger.get_recipe(parent_image.recipe_hash)
-        image = parent_image
+    path = [(recipe, image)]
+    while (parent_id := ledger.parent_of(recipe.recipe_hash)) is not None:
+        image = ledger.images.get(parent_id)
+        if image is None:
+            raise NotFoundError(f"lineage broken: missing image {parent_id}")
+        recipe = ledger.get_recipe(image.recipe_hash)
+        path.append((recipe, image))
     path.reverse()
     return path
+
+
+def lineage(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[LineageNode]:
+    """Unique path from a node's root down to the node itself."""
+    return [
+        LineageNode(
+            recipe_hash=recipe.recipe_hash,
+            image_id=image.image_id if image is not None else None,
+            signer_id=recipe.signer_id,
+            kind=recipe.kind,
+            recipe_status=recipe.status,
+            image_status=image.status if image is not None else None,
+        )
+        for recipe, image in _path(ledger, node)
+    ]
 
 
 def children(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[RecipeRecord]:
@@ -112,14 +117,14 @@ def lineage_problems(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> 
     passes its record checks, is live, and is signed by a currently
     trusted entity. Returns the problems in path order, empty when clean."""
     try:
-        path = lineage(ledger, node)
+        path = _path(ledger, node)
     except NotFoundError as exc:
         return [Problem(MISSING, exc.message)]
     problems: list[Problem] = []
-    for pnode in path:
-        problems.extend(record_problems(ledger, ledger.get_recipe(pnode.recipe_hash)))
-        if pnode.image_id is not None:
-            problems.extend(record_problems(ledger, ledger.get_image(pnode.image_id)))
+    for recipe, image in path:
+        problems.extend(record_problems(ledger, recipe))
+        if image is not None:
+            problems.extend(record_problems(ledger, image))
     return problems
 
 
@@ -146,11 +151,10 @@ def show_content(ledger: Ledger, node: str, with_lineage: bool = False) -> str:
         return recipe.text
     labels = short_labels(ledger)
     parts: list[str] = []
-    for pnode in lineage(ledger, node):
-        recipe = ledger.get_recipe(pnode.recipe_hash)
+    for recipe, _ in _path(ledger, node):
         header = (
-            f"===== {labels[pnode.recipe_hash]} [{pnode.kind}, {pnode.recipe_status}] "
-            f"{pnode.recipe_hash} ====="
+            f"===== {labels[recipe.recipe_hash]} [{recipe.kind}, {recipe.status}] "
+            f"{recipe.recipe_hash} ====="
         )
         parts.append(header)
         parts.append(recipe.text.rstrip("\n"))
@@ -181,16 +185,14 @@ def _tree_data(ledger: Ledger) -> tuple[list[dict], list[dict]]:
         )
     edges = []
     for rec in ledger.recipes.values():
-        if rec.parent_image_id is None:
-            continue
-        parent_image = ledger.images.get(rec.parent_image_id)
+        parent_image = ledger.images.get(ledger.parent_of(rec.recipe_hash))
         if parent_image is None:
             continue
         edges.append(
             {
                 "from": parent_image.recipe_hash,
                 "to": rec.recipe_hash,
-                "parent_image": rec.parent_image_id,
+                "parent_image": parent_image.image_id,
             }
         )
     return nodes, edges

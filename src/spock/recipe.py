@@ -56,7 +56,7 @@ class Recipe:
 
     @property
     def parent_image_id(self) -> str | None:
-        return self.base_ref if self.kind == KIND_CHILD else None
+        return _link(self.from_ref)[1]
 
 
 def parse(text: str) -> Recipe:
@@ -67,23 +67,45 @@ def parse(text: str) -> Recipe:
     """
     if not text.strip():
         raise ParseError("empty recipe")
-    from_ref: str | None = None
-    steps: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        tokens = stripped.split()
+    lines = text.splitlines()
+    index, from_ref = from_line(lines)
+    kind, _ = _link(from_ref)
+    steps = tuple(lines[:index] + lines[index + 1:])
+    return Recipe(from_ref=from_ref, kind=kind, steps=steps, text=text)
+
+
+def from_line(lines: list[str]) -> tuple[int, str]:
+    """Index and reference of a recipe's single FROM line. Raises
+    ParseError when there is none, more than one, or it names nothing."""
+    found: tuple[int, str] | None = None
+    for index, line in enumerate(lines):
+        tokens = line.split(None, 2)
         if tokens and tokens[0].upper() == "FROM":
-            if from_ref is not None:
+            if found is not None:
                 raise ParseError("multiple FROM lines; recipes have a single parent")
             if len(tokens) < 2:
                 raise ParseError("FROM line has no reference")
-            from_ref = tokens[1]
-            continue
-        steps.append(line)
-    if from_ref is None:
+            found = (index, tokens[1])
+    if found is None:
         raise ParseError("recipe has no FROM line")
-    kind = KIND_CHILD if from_ref.startswith(INTERNAL_PREFIX) else KIND_ROOT
-    return Recipe(from_ref=from_ref, kind=kind, steps=tuple(steps), text=text)
+    return found
+
+
+def signed_link(content: bytes) -> tuple[str, str | None] | None:
+    """(kind, parent image id) that recipe bytes give through their FROM
+    line, or None when they do not decode or parse. Replay calls this once
+    per recipe, and every query that walks the forest follows its result."""
+    try:
+        _, from_ref = from_line(content.decode("utf-8").splitlines())
+    except (UnicodeDecodeError, ParseError):
+        return None
+    return _link(from_ref)
+
+
+def _link(from_ref: str) -> tuple[str, str | None]:
+    if from_ref.startswith(INTERNAL_PREFIX):
+        return KIND_CHILD, from_ref[len(INTERNAL_PREFIX):]
+    return KIND_ROOT, None
 
 
 def require_trusted(ledger: Ledger, signer: str) -> None:

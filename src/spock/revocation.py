@@ -52,15 +52,16 @@ class ArchiveBundle:
     manifest: dict = field(default_factory=dict)
 
 
-def _closure(ledger: Ledger, start_type: str, start_id: str) -> tuple[list[RecipeRecord], list[ImageRecord]]:
-    """Live dependent closure of a node, the node included.
+def _closure(ledger: Ledger, seeds: list[tuple[str, str]]) -> tuple[list[RecipeRecord], list[ImageRecord]]:
+    """Live dependent closure of ``(type, id)`` seed nodes, the seeds
+    included.
 
-    Recipes pull in their images; images pull in the child recipes that
-    reference them. Purging an image spares its own recipe.
+    Recipes pull in their images; images pull in the child recipes whose
+    signed FROM line names them. Purging an image spares its own recipe.
     """
     recipes: dict[str, RecipeRecord] = {}
     images: dict[str, ImageRecord] = {}
-    frontier: list[tuple[str, str]] = [(start_type, start_id)]
+    frontier = list(seeds)
     while frontier:
         node_type, node_id = frontier.pop()
         if node_type == "recipe":
@@ -166,7 +167,7 @@ def remove(ledger: Ledger, node: str, reason: str) -> ArchiveBundle:
         node_id = record.recipe_hash if node_type == "recipe" else record.image_id  # type: ignore[union-attr]
         if record.status != STATUS_LIVE:  # type: ignore[union-attr]
             raise PurgedError(f"node already purged: {node_id}")
-        recipes, images = _closure(ledger, node_type, node_id)
+        recipes, images = _closure(ledger, [(node_type, node_id)])
         created_at = clock.now_utc()
         bundle_id = _write_bundle(ledger, reason, recipes, images, created_at)
         ledger.append(
@@ -195,21 +196,10 @@ def distrust(ledger: Ledger, entity_id: str, reason: str) -> ArchiveBundle:
             raise NotFoundError(f"unknown entity: {entity_id}")
         if entity.status != "trusted":
             raise AlreadyDistrustedError(f"entity already distrusted: {entity_id}")
-        all_recipes: dict[str, RecipeRecord] = {}
-        all_images: dict[str, ImageRecord] = {}
-        seeds: list[tuple[str, str]] = []
-        for rec in ledger.list_recipes(status=STATUS_LIVE, signer=entity_id):
-            seeds.append(("recipe", rec.recipe_hash))
-        for img in ledger.list_images(status=STATUS_LIVE, signer=entity_id):
-            seeds.append(("image", img.image_id))
-        for node_type, node_id in seeds:
-            recipes, images = _closure(ledger, node_type, node_id)
-            for r in recipes:
-                all_recipes[r.recipe_hash] = r
-            for i in images:
-                all_images[i.image_id] = i
-        recipes = sorted(all_recipes.values(), key=lambda r: r.recipe_hash)
-        images = sorted(all_images.values(), key=lambda i: i.image_id)
+        live = {"status": STATUS_LIVE, "signer": entity_id}
+        seeds = [("recipe", r.recipe_hash) for r in ledger.list_recipes(**live)]
+        seeds += [("image", i.image_id) for i in ledger.list_images(**live)]
+        recipes, images = _closure(ledger, seeds)
         created_at = clock.now_utc()
         bundle_id = _write_bundle(ledger, reason, recipes, images, created_at)
         ledger.append(

@@ -9,8 +9,8 @@ adds the two predicates only admission asks for: the record is live, and
 its signer is trusted now.
 
 A recipe's ``kind`` and ``parent_image_id`` are not covered by its
-signature, so the ``kind-parent`` check re-derives both from the signed
-recipe text instead of trusting the stored fields.
+signature, so the ``kind-parent`` check compares them with what replay
+derived from the signed ``FROM`` line (``Ledger.link``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from . import crypto
 from .errors import NotFoundError, SpockError, TamperError
-from .recipe import parse
 from .records import (
     ImageId,
     ImageRecord,
@@ -163,11 +162,7 @@ def _recipe_checks(ledger: Ledger, rec: RecipeRecord, digest_ok: bool):
         yield "record-digest", True, ""
     content_ok = crypto.digest(rec.content) == rec.recipe_hash
     yield "content-hash", content_ok, "" if content_ok else "recipe hash does not match content"
-    try:
-        parsed = parse(rec.text)
-        kind_ok = (parsed.kind, parsed.parent_image_id) == (rec.kind, rec.parent_image_id)
-    except (SpockError, UnicodeDecodeError):
-        kind_ok = False
+    kind_ok = ledger.link(rec.recipe_hash) == (rec.kind, rec.parent_image_id)
     yield "kind-parent", kind_ok, "" if kind_ok else "kind or parent differs from the signed FROM line"
     yield from _signer_checks(ledger, rec, rec.content, "recipe")
     if rec.parent_image_id is not None:

@@ -108,6 +108,40 @@ def test_put_recipe_unknown_signer(fresh_ledger, keypair):
         fresh_ledger.put_recipe(record)
 
 
+@pytest.mark.parametrize(
+    "from_ref, kind, stored_parent",
+    [
+        ("trusted:{a}", "child", "{b}"),  # another existing image
+        ("trusted:{a}", "root", None),
+        ("alpine:3.18", "child", "{a}"),
+        ("trusted:{a}-gone", "child", "{a}-gone"),  # agrees, but no such image
+    ],
+)
+def test_put_recipe_requires_the_fields_the_signed_from_line_gives(
+    trusted_ledger, from_ref, kind, stored_parent
+):
+    ledger, signer, private = trusted_ledger
+    _, image_a = register_and_build(ledger, ROOT_TEXT, signer, private)
+    _, image_b = register_and_build(ledger, "FROM debian:12\nRUN echo b\n", signer, private)
+    ids = {"a": image_a.image_id, "b": image_b.image_id}
+    content = f"FROM {from_ref.format(**ids)}\nRUN echo child\n".encode()
+    record = RecipeRecord(
+        recipe_hash=crypto.digest(content),
+        kind=kind,
+        content=content,
+        signature=crypto.sign(content, private, signer),
+        signer_id=signer,
+        parent_image_id=None if stored_parent is None else stored_parent.format(**ids),
+        registered_at=datetime(2026, 1, 1, tzinfo=timezone.utc),
+    )
+    before = ledger.log_path.read_bytes()
+    with pytest.raises(IntegrityError):
+        ledger.put_recipe(record)
+    assert ledger.log_path.read_bytes() == before
+    assert record.recipe_hash not in ledger.recipes
+    assert ledger.validate_all().ok
+
+
 def test_second_live_image_for_recipe_denied(trusted_ledger):
     ledger, signer, private = trusted_ledger
     rec, image = register_and_build(ledger, ROOT_TEXT, signer, private)

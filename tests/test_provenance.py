@@ -274,7 +274,8 @@ def _chain_forest(n: int) -> SimpleNamespace:
         )
     by_recipe = {img.recipe_hash: [img] for img in images.values()}
     return SimpleNamespace(
-        recipes=recipes, images=images, images_of=lambda h: by_recipe.get(h, [])
+        recipes=recipes, images=images, images_of=lambda h: by_recipe.get(h, []),
+        parent_of=lambda h: recipes[h].parent_image_id,
     )
 
 

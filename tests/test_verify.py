@@ -1,5 +1,6 @@
 """The one verification routine: forged fields the signature does not
-cover, reason mapping, and how many signature checks each caller pays."""
+cover, reason mapping, how many signature checks each caller pays, and
+the one parent link every forest walk follows."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import json
 import pytest
 
 import spock.crypto
-from spock import Ledger, MockEngine, builder, crypto, recipe, rungate
+from spock import Ledger, MockEngine, builder, crypto, provenance, recipe, revocation, rungate
 from spock.errors import SignatureInvalidError
 from spock.records import canonical_json
 from spock.verify import Problem, record_problems
@@ -75,6 +76,71 @@ def test_forged_parent_of_unbuilt_child_is_not_built(two_roots_and_child):
     assert [(e.ref, e.check) for e in report.failures()] == [
         (f"recipe:{child.recipe_hash}", "kind-parent")
     ]
+
+
+@pytest.fixture
+def forged_built_child(two_roots_and_child):
+    """Child C built from A's image, then its stored parent rewritten to
+    B's image; the signed FROM line still names A's image."""
+    ledger, signer, private, image_a, image_b, child = two_roots_and_child
+    child_image = builder.build(ledger, child.recipe_hash, MockEngine(), signer, private)
+    _rewrite_recipe_line(ledger, child.recipe_hash, parent_image_id=image_b.image_id)
+    forged = Ledger.open(ledger.root, sync=False)
+    return forged, image_a, image_b, child, child_image
+
+
+def test_lineage_follows_the_signed_parent(forged_built_child):
+    forged, image_a, _, child, child_image = forged_built_child
+    path = provenance.lineage(forged, child_image.image_id)
+    assert [(n.recipe_hash, n.image_id) for n in path] == [
+        (image_a.recipe_hash, image_a.image_id),
+        (child.recipe_hash, child_image.image_id),
+    ]
+
+
+def test_tree_edge_comes_from_the_signed_parent(forged_built_child):
+    forged, image_a, _, child, _ = forged_built_child
+    edges = json.loads(provenance.export_tree(forged))["edges"]
+    assert [e for e in edges if e["to"] == child.recipe_hash] == [
+        {"from": image_a.recipe_hash, "to": child.recipe_hash, "parent_image": image_a.image_id}
+    ]
+
+
+def test_remove_of_the_signed_root_purges_the_forged_child(forged_built_child):
+    forged, image_a, _, child, child_image = forged_built_child
+    bundle = revocation.remove(forged, image_a.recipe_hash, "signed root")
+    assert {r.recipe_hash for r in bundle.removed_recipes} == {image_a.recipe_hash, child.recipe_hash}
+    assert {i.image_id for i in bundle.removed_images} == {image_a.image_id, child_image.image_id}
+    assert forged.recipes[child.recipe_hash].status == "purged"
+    assert forged.images[child_image.image_id].status == "purged"
+
+
+def test_remove_of_the_stored_root_spares_the_forged_child(forged_built_child):
+    forged, _, image_b, child, child_image = forged_built_child
+    bundle = revocation.remove(forged, image_b.recipe_hash, "stored root")
+    assert [r.recipe_hash for r in bundle.removed_recipes] == [image_b.recipe_hash]
+    assert [i.image_id for i in bundle.removed_images] == [image_b.image_id]
+    assert forged.recipes[child.recipe_hash].status == "live"
+    assert forged.images[child_image.image_id].status == "live"
+
+
+def test_open_scans_each_recipe_once_and_check_scans_none(two_roots_and_child, monkeypatch):
+    ledger, signer, private, _, _, child = two_roots_and_child
+    child_image = builder.build(ledger, child.recipe_hash, MockEngine(), signer, private)
+    scans = [0]
+    real = recipe.from_line
+
+    def counting(lines):
+        scans[0] += 1
+        return real(lines)
+
+    monkeypatch.setattr(recipe, "from_line", counting)
+    reopened = Ledger.open(ledger.root, sync=False)
+    assert scans[0] == len(reopened.recipes) == 3
+    scans[0] = 0
+    assert rungate.check_runnable(reopened, child_image.image_id).allowed
+    assert reopened.validate_all().ok
+    assert scans[0] == 0
 
 
 def test_forged_kind_of_root_fails_kind_parent(trusted_ledger):
