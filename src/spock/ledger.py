@@ -15,15 +15,18 @@ self-verifying. Records are immutable once written; status changes are
 new appended event records, and the in-memory state is a replay of the
 whole log.
 
-Concurrency: one writer at a time, enforced with an exclusive flock on
-``.lock`` for the duration of a mutating operation; readers take a shared
-flock while they catch up on newly appended lines. A crash can only tear
-the final line; an incomplete final line is discarded on replay and
-truncated away by the next writer.
+Both logs are written by one appender, ``append_line``: it takes an
+exclusive flock on the log file itself, cuts a torn tail (a crash can only
+tear the final line) back to the last newline, writes the whole line with
+``O_APPEND`` and fsyncs. Both are read by one reader, ``read_lines``, which
+parses complete lines only, so a torn tail is never part of either log.
 
-``audit.log`` holds admission decisions in the same line format. It is
-not trust input: ``open`` never replays it, each append takes a flock on
-the file itself rather than ``.lock``, and only ``validate`` reads it.
+``ledger.log`` writes also hold an exclusive flock on ``.lock`` for the
+whole mutating operation, so there is one writer at a time; readers take
+a shared flock on ``.lock`` while they catch up on newly appended lines.
+``audit.log`` holds admission decisions. It is not trust input: ``open``
+never replays it, its appends do not take ``.lock``, and only ``validate``
+reads it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import json
 import os
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import clock, crypto
@@ -61,9 +63,8 @@ from .records import (
     STATUS_LIVE,
     STATUS_PURGED,
     TrustedEntity,
+    canonical_json,
     load_record,
-    record_bytes,
-    record_type,
 )
 from .verify import ValidationEntry, ValidationReport, read_manifest, record_entries, record_ref
 
@@ -75,11 +76,12 @@ INDEX_DIR = "index"
 LOCK_NAME = ".lock"
 # replay issues that mean the log itself was altered
 TAMPER_CHECKS = ("parse", "record-digest", "duplicate")
-# Per audit.log path: the identity of the file as this process last
-# parsed it or appended to it, and the issues it then had. validate parses
-# the file again only when its identity changed, and Ledger.audit carries
-# the issues over its own well-formed line, so a process that validates
-# after every check does not re-parse the whole history each time.
+# Per log path: the identity of the file as this process last parsed it or
+# appended to it, and the issues it then had. Only read_audit fills it:
+# validate parses audit.log again only when its identity changed, and
+# append_line carries the issues over its own well-formed line, so a
+# process that validates after every check does not re-parse the whole
+# history each time.
 _verified_audit: dict[Path, tuple[tuple, tuple]] = {}
 
 
@@ -89,18 +91,56 @@ def _file_identity(st: os.stat_result) -> tuple:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
-@dataclass
-class LoadIssue:
-    ref: str
-    check: str
-    detail: str
-
-
 def format_log_line(rec_digest: str, rtype: str, payload: bytes) -> bytes:
     return f"{rec_digest} {rtype} {crypto.encode_text(payload)}\n".encode("ascii")
 
 
-def parse_log_line(line: bytes, ref: str, issues: list[LoadIssue]):
+def append_line(path: Path, record, sync: bool) -> tuple[str, int]:
+    """Append one record to the log at ``path``: (record digest, bytes
+    written). Appends are serialized by an exclusive flock on the file
+    itself, under which a torn tail left by a crashed writer is cut back
+    to the last newline before the whole line is written."""
+    data = record.to_record_dict()
+    payload = canonical_json(data)
+    rec_digest = crypto.digest(payload)
+    line = format_log_line(rec_digest, data["record"], payload)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        before = os.fstat(fd)
+        size = before.st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
+        rest = memoryview(line)
+        while rest:  # a large remove event may take more than one write
+            rest = rest[os.write(fd, rest):]
+        if sync:
+            os.fsync(fd)
+        seen = _verified_audit.get(path)
+        if seen is not None and seen[0] == _file_identity(before):
+            _verified_audit[path] = (_file_identity(os.fstat(fd)), seen[1])
+    finally:
+        os.close(fd)  # releases the flock
+    return rec_digest, len(line)
+
+
+def read_lines(
+    data: bytes, line_no: int, prefix: str, issues: list[ValidationEntry]
+) -> tuple[list, int, int]:
+    """Parse the complete lines of ``data``, numbered from ``line_no + 1``:
+    (records that parse, bytes consumed, lines consumed). An incomplete
+    final line is a crash artifact, not part of the log. Each problem is
+    added to ``issues`` as a failing entry with ref ``<prefix><n>``."""
+    lines = data.split(b"\n")[:-1]
+    records = []
+    for n, line in enumerate(lines, line_no + 1):
+        record = parse_log_line(line, f"{prefix}{n}", issues)
+        if record is not None:
+            records.append(record)
+    return records, data.rfind(b"\n") + 1, len(lines)
+
+
+def parse_log_line(line: bytes, ref: str, issues: list[ValidationEntry]):
     """Decode one log line; return its record, or None when it does not
     parse. Every problem found is added to ``issues`` under ``ref``."""
     try:
@@ -112,20 +152,15 @@ def parse_log_line(line: bytes, ref: str, issues: list[LoadIssue]):
             raise SpockError("record type token mismatch")
         record = load_record(rtype, data)
     except Exception as exc:
-        issues.append(LoadIssue(ref, "parse", f"corrupt log line: {exc}"))
+        issues.append(ValidationEntry(ref, "parse", False, f"corrupt log line: {exc}"))
         return None
     if crypto.encode_text(payload) != payload_b64:
         # decodes, but not to the exact bytes we would have written:
         # the line was altered into a non-canonical encoding
-        issues.append(LoadIssue(ref, "record-digest", "non-canonical record encoding"))
+        issues.append(ValidationEntry(ref, "record-digest", False, "non-canonical record encoding"))
     if crypto.digest(payload) != stored_digest:
-        issues.append(
-            LoadIssue(
-                ref,
-                "record-digest",
-                f"stored digest does not match record bytes ({record_ref(record)})",
-            )
-        )
+        detail = f"stored digest does not match record bytes ({record_ref(record)})"
+        issues.append(ValidationEntry(ref, "record-digest", False, detail))
     return record
 
 
@@ -137,7 +172,6 @@ class Ledger:
         self.sync = sync
         self._lock_fd: int | None = None
         self._lock_depth = 0
-        self._lock_mode: str | None = None
         self._reset_state()
 
     # ------------------------------------------------------------------
@@ -208,45 +242,32 @@ class Ledger:
         return self._lock_fd
 
     @contextmanager
-    def shared(self):
-        fd = self._lockfile()
-        if self._lock_depth == 0:
-            fcntl.flock(fd, fcntl.LOCK_SH)
-            self._lock_mode = "shared"
-        self._lock_depth += 1
-        try:
-            yield self
-        finally:
-            self._lock_depth -= 1
-            if self._lock_depth == 0:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-                self._lock_mode = None
-
-    @contextmanager
     def exclusive(self):
         """Writer lock for the duration of a mutating operation."""
         fd = self._lockfile()
         if self._lock_depth == 0:
             fcntl.flock(fd, fcntl.LOCK_EX)
-            self._lock_mode = "exclusive"
-        elif self._lock_mode != "exclusive":
-            # upgrading SH to EX mid-operation can deadlock two upgraders
-            raise SpockError("cannot take the writer lock inside a read lock")
         self._lock_depth += 1
         try:
             self._catch_up()
-            self._repair_torn_tail()
             yield self
         finally:
             self._lock_depth -= 1
             if self._lock_depth == 0:
                 fcntl.flock(fd, fcntl.LOCK_UN)
-                self._lock_mode = None
 
     def refresh(self) -> None:
         """Catch up on records appended by other processes."""
-        with self.shared():
+        if self._lock_depth:
+            # the writer lock is held: a shared flock here would downgrade it
             self._catch_up()
+            return
+        fd = self._lockfile()
+        fcntl.flock(fd, fcntl.LOCK_SH)
+        try:
+            self._catch_up()
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
 
     def _catch_up(self) -> None:
         size = self.log_path.stat().st_size
@@ -258,7 +279,11 @@ class Ledger:
         with open(self.log_path, "rb") as fh:
             fh.seek(self._offset)
             data = fh.read()
-        self._consume(data)
+        records, consumed, lines = read_lines(data, self._line_no, "line:", self.issues)
+        self._offset += consumed
+        self._line_no += lines
+        for record in records:
+            self._apply(record)
 
     def _reset_state(self) -> None:
         """Declare and clear everything replay builds."""
@@ -268,58 +293,30 @@ class Ledger:
         self.events: list[LedgerEvent] = []
         self.archives: dict[str, dict] = {}
         self.meta: MetaRecord | None = None
-        self.issues: list[LoadIssue] = []
+        self.issues: list[ValidationEntry] = []
         self._images_by_recipe: dict[str, list[str]] = {}
         self._links: dict[str, tuple[str, str | None] | None] = {}
         self._children_by_image: dict[str, list[str]] = {}
         self._offset = 0
         self._line_no = 0
-        self._torn_tail = False
 
-    def _consume(self, data: bytes) -> None:
-        pos = 0
-        self._torn_tail = False
-        while pos < len(data):
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                # incomplete final line: crash artifact, not part of the ledger
-                self._torn_tail = True
-                break
-            line = data[pos:nl]
-            pos = nl + 1
-            self._offset += len(line) + 1
-            self._line_no += 1
-            record = parse_log_line(line, f"line:{self._line_no}", self.issues)
-            if record is not None:
-                self._apply(record)
-
-    def _repair_torn_tail(self) -> None:
-        if not self._torn_tail:
-            return
-        with open(self.log_path, "r+b") as fh:
-            fh.truncate(self._offset)
-            if self.sync:
-                os.fsync(fh.fileno())
-        self._torn_tail = False
+    def _flag(self, ref: str, check: str, detail: str) -> None:
+        self.issues.append(ValidationEntry(ref, check, False, detail))
 
     def _apply(self, record) -> None:
         if isinstance(record, MetaRecord):
             if self.meta is None:
                 self.meta = record
             else:
-                self.issues.append(LoadIssue("meta", "duplicate", "duplicate schema record"))
+                self._flag("meta", "duplicate", "duplicate schema record")
         elif isinstance(record, TrustedEntity):
             if record.entity_id in self.entities:
-                self.issues.append(
-                    LoadIssue(f"entity:{record.entity_id}", "duplicate", "duplicate entity id")
-                )
+                self._flag(f"entity:{record.entity_id}", "duplicate", "duplicate entity id")
                 return
             self.entities[record.entity_id] = record
         elif isinstance(record, RecipeRecord):
             if record.recipe_hash in self.recipes:
-                self.issues.append(
-                    LoadIssue(f"recipe:{record.recipe_hash}", "duplicate", "duplicate recipe hash")
-                )
+                self._flag(f"recipe:{record.recipe_hash}", "duplicate", "duplicate recipe hash")
                 return
             self.recipes[record.recipe_hash] = record
             link = self._links[record.recipe_hash] = signed_link(record.content)
@@ -327,9 +324,7 @@ class Ledger:
                 self._children_by_image.setdefault(link[1], []).append(record.recipe_hash)
         elif isinstance(record, ImageRecord):
             if record.image_id in self.images:
-                self.issues.append(
-                    LoadIssue(f"image:{record.image_id}", "duplicate", "duplicate image id")
-                )
+                self._flag(f"image:{record.image_id}", "duplicate", "duplicate image id")
                 return
             self.images[record.image_id] = record
             self._images_by_recipe.setdefault(record.recipe_hash, []).append(record.image_id)
@@ -344,17 +339,13 @@ class Ledger:
             if rec is not None:
                 rec.status = STATUS_PURGED
             else:
-                self.issues.append(
-                    LoadIssue(f"event:{event.event}", "referential", f"purge of unknown recipe {recipe_hash}")
-                )
+                self._flag(f"event:{event.event}", "referential", f"purge of unknown recipe {recipe_hash}")
         for image_id in event.data.get("purged_images", []):
             img = self.images.get(image_id)
             if img is not None:
                 img.status = STATUS_PURGED
             else:
-                self.issues.append(
-                    LoadIssue(f"event:{event.event}", "referential", f"purge of unknown image {image_id}")
-                )
+                self._flag(f"event:{event.event}", "referential", f"purge of unknown image {image_id}")
         if event.event == "distrust":
             entity = self.entities.get(event.data.get("entity_id", ""))
             if entity is not None:
@@ -375,17 +366,10 @@ class Ledger:
 
     def append(self, record) -> str:
         """Append one record under the held writer lock and apply it."""
-        if self._lock_mode != "exclusive":
+        if not self._lock_depth:
             raise SpockError("append requires the writer lock")
-        payload = record_bytes(record)
-        rec_digest = crypto.digest(payload)
-        line = format_log_line(rec_digest, record_type(record), payload)
-        with open(self.log_path, "ab") as fh:
-            fh.write(line)
-            fh.flush()
-            if self.sync:
-                os.fsync(fh.fileno())
-        self._offset += len(line)
+        rec_digest, length = append_line(self.log_path, record, self.sync)
+        self._offset += length
         self._line_no += 1
         self._apply(record)
         self._write_index_summary()
@@ -393,34 +377,12 @@ class Ledger:
 
     def audit(self, record) -> str:
         """Append one record to ``audit.log``: no ``.lock``, no replay, no
-        index rewrite. Appends from concurrent processes are serialized by
-        a flock on the audit file itself, under which a torn tail left by
-        a crashed writer is truncated first."""
-        payload = record_bytes(record)
-        rec_digest = crypto.digest(payload)
-        line = format_log_line(rec_digest, record_type(record), payload)
-        fd = os.open(self.audit_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            before = os.fstat(fd)
-            size = before.st_size
-            if size and os.pread(fd, 1, size - 1) != b"\n":
-                # torn tail: cut back to the last complete line
-                os.ftruncate(fd, os.pread(fd, size, 0).rfind(b"\n") + 1)
-            os.write(fd, line)
-            if self.sync:
-                os.fsync(fd)
-            seen = _verified_audit.get(self.audit_path)
-            if seen is not None and seen[0] == _file_identity(before):
-                _verified_audit[self.audit_path] = (_file_identity(os.fstat(fd)), seen[1])
-        finally:
-            os.close(fd)  # releases the flock
-        return rec_digest
+        index rewrite."""
+        return append_line(self.audit_path, record, self.sync)[0]
 
-    def read_audit(self) -> tuple[list, list[LoadIssue]]:
-        """Parse ``audit.log`` with the replay parser: (records, issues),
-        each issue's ref ``audit:line:<n>``. A torn final line is a crash
-        artifact, not an entry."""
+    def read_audit(self) -> tuple[list, list[ValidationEntry]]:
+        """Parse ``audit.log`` with the replay reader: (records, issues),
+        each issue's ref ``audit:line:<n>``."""
         try:
             with open(self.audit_path, "rb") as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
@@ -428,16 +390,12 @@ class Ledger:
                 data = fh.read()
         except FileNotFoundError:
             return [], []
-        records: list = []
-        issues: list[LoadIssue] = []
-        for n, line in enumerate(data.split(b"\n")[:-1], 1):
-            record = parse_log_line(line, f"audit:line:{n}", issues)
-            if record is not None:
-                records.append(record)
+        issues: list[ValidationEntry] = []
+        records = read_lines(data, 0, "audit:line:", issues)[0]
         _verified_audit[self.audit_path] = (identity, tuple(issues))
         return records, issues
 
-    def _audit_issues(self) -> tuple[LoadIssue, ...]:
+    def _audit_issues(self) -> tuple[ValidationEntry, ...]:
         try:
             identity = _file_identity(self.audit_path.stat())
         except FileNotFoundError:
@@ -646,12 +604,7 @@ class Ledger:
     # validation
 
     def validate_all(self) -> ValidationReport:
-        report = ValidationReport(
-            [
-                ValidationEntry(i.ref, i.check, False, i.detail)
-                for i in (*self.issues, *self._audit_issues())
-            ]
-        )
+        report = ValidationReport([*self.issues, *self._audit_issues()])
         add = report.entries.append
         flagged = {i.ref for i in self.issues}
         for record in (*self.entities.values(), *self.recipes.values(), *self.images.values()):

@@ -57,12 +57,17 @@ def _display_image_for(ledger: Ledger, recipe: RecipeRecord) -> ImageRecord | No
 
 def _path(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[tuple[RecipeRecord, ImageRecord | None]]:
     """(recipe, image) pairs from a node's root down to the node, each
-    recipe's parent taken from its signed FROM line."""
+    recipe's parent taken from its signed FROM line. A forged log can
+    make that link loop, which is a broken lineage too."""
     recipe, image = _node_recipe(ledger, node)
     if image is None:
         image = _display_image_for(ledger, recipe)
     path = [(recipe, image)]
+    visited: set[str] = set()
     while (parent_id := ledger.parent_of(recipe.recipe_hash)) is not None:
+        if parent_id in visited:
+            raise NotFoundError(f"lineage broken: cycle through image {parent_id}")
+        visited.add(parent_id)
         image = ledger.images.get(parent_id)
         if image is None:
             raise NotFoundError(f"lineage broken: missing image {parent_id}")

@@ -236,10 +236,6 @@ def record_bytes(record) -> bytes:
     return canonical_json(record.to_record_dict())
 
 
-def record_type(record) -> str:
-    return record.to_record_dict()["record"]
-
-
 def load_record(rtype: str, data: dict):
     cls = RECORD_CLASSES.get(rtype)
     if cls is None:

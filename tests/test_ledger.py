@@ -317,6 +317,56 @@ def test_writer_lock_excludes_other_handles(trusted_ledger):
     other.close()
 
 
+def test_refresh_inside_writer_lock_keeps_it(trusted_ledger):
+    import fcntl
+
+    ledger, signer, private = trusted_ledger
+    other = Ledger.open(ledger.root)
+    with ledger.exclusive():
+        ledger.refresh()  # must not trade the writer lock for a shared one
+        with pytest.raises(BlockingIOError):
+            fcntl.flock(other._lockfile(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        recipe.register_root(ledger, ROOT_TEXT, signer, private)
+    other.close()
+
+
+GHOST = "20181001T120000Z-" + "d" * 64
+APPEND_BY_OTHER_HANDLE = {
+    "ledger.log": lambda handle, key: handle.add_entity("bob", key),
+    "audit.log": lambda handle, key: rungate.check_runnable(handle, GHOST),
+}
+
+
+@pytest.mark.parametrize("log", sorted(APPEND_BY_OTHER_HANDLE))
+def test_torn_tail_is_cut_by_another_handles_append(trusted_ledger, second_keypair, log):
+    ledger, signer, private = trusted_ledger
+    _, image = register_and_build(ledger, ROOT_TEXT, signer, private)
+    rungate.check_runnable(ledger, image.image_id)
+    path = ledger.root / log
+    intact = path.read_bytes()
+    replayed = Ledger.open(ledger.root, sync=False)
+    with open(path, "ab") as fh:
+        fh.write(b"deadbeef event SGVsbG8")  # a crash tore the final line
+    replayed.refresh()
+    assert replayed.issues == [] and replayed.read_audit()[1] == []
+
+    APPEND_BY_OTHER_HANDLE[log](Ledger.open(ledger.root, sync=False), second_keypair[0])
+    data = path.read_bytes()
+    assert data.startswith(intact) and data.endswith(b"\n")
+    assert data.count(b"\n") == intact.count(b"\n") + 1
+    if log == "ledger.log":
+        entities, lines = set(replayed.entities), replayed._line_no
+        replayed.refresh()
+        assert set(replayed.entities) - entities == {"bob"}
+        assert replayed._line_no == lines + 1
+        assert replayed.issues == []
+    else:
+        records, issues = replayed.read_audit()
+        assert issues == []
+        assert [r.data["image_id"] for r in records] == [image.image_id, GHOST]
+    assert replayed.validate_all().ok
+
+
 def test_concurrent_handle_sees_new_records(trusted_ledger):
     ledger, signer, private = trusted_ledger
     reader = Ledger.open(ledger.root)

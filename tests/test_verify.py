@@ -5,13 +5,17 @@ the one parent link every forest walk follows."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import spock.crypto
-from spock import Ledger, MockEngine, builder, crypto, provenance, recipe, revocation, rungate
+from spock import Ledger, MockEngine, builder, clock, crypto, provenance, recipe, revocation, rungate
 from spock.errors import SignatureInvalidError
-from spock.records import canonical_json
+from spock.records import ImageRecord, RecipeRecord, canonical_json
 from spock.verify import Problem, record_problems
 from tests.conftest import ROOT_TEXT, register_and_build
 
@@ -122,6 +126,54 @@ def test_remove_of_the_stored_root_spares_the_forged_child(forged_built_child):
     assert [i.image_id for i in bundle.removed_images] == [image_b.image_id]
     assert forged.recipes[child.recipe_hash].status == "live"
     assert forged.images[child_image.image_id].status == "live"
+
+
+# Runs in a child process under a memory cap, so a walk that never ends
+# fails the test by running out of memory or time instead of hanging it.
+CYCLE_CHECK = """
+import resource, sys
+cap = 512 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from spock import cli
+for command in ("check", "lineage"):
+    code = cli.main([command, "--ledger", sys.argv[1], sys.argv[2]])
+    print(f"exit {command} {code}", flush=True)
+"""
+
+
+def test_forged_parent_cycle_is_a_broken_lineage(trusted_ledger):
+    """A recipe whose signed FROM line names the image built from it, each
+    line with a valid digest: replay sees nothing, and the walk up from
+    the image must stop and deny rather than loop."""
+    ledger, signer, private = trusted_ledger
+    image_id = "20181001T120000Z-" + "d" * 64
+    content = f"FROM trusted:{image_id}\nRUN echo loop\n".encode()
+    rec = RecipeRecord(
+        recipe_hash=crypto.digest(content), kind="child", content=content,
+        signature=crypto.sign(content, private, signer), signer_id=signer,
+        parent_image_id=image_id, registered_at=clock.now_utc(),
+    )
+    image = ImageRecord(
+        image_id=image_id, recipe_hash=rec.recipe_hash, parent_image_id=image_id,
+        image_digest=crypto.digest(b"loop"), step_digests=(), signature=rec.signature,
+        signer_id=signer,
+    )
+    image.signature = crypto.sign(image.signed_bytes(), private, signer)
+    with ledger.exclusive():  # append itself checks nothing, as a forger's editor would not
+        ledger.append(rec)
+        ledger.append(image)
+    assert Ledger.open(ledger.root, sync=False).issues == []
+
+    env = dict(os.environ, PYTHONPATH=str(Path(spock.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CYCLE_CHECK, str(ledger.root), image_id],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"missing:lineage broken: cycle through image {image_id}" in proc.stdout
+    assert "exit check 10" in proc.stdout
+    assert "exit lineage 3" in proc.stdout
+    assert "lineage broken: cycle through image" in proc.stderr
 
 
 def test_open_scans_each_recipe_once_and_check_scans_none(two_roots_and_child, monkeypatch):
