@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import clock, crypto
-from .crypto import PublicKey
+from .crypto import PublicKey, Signature
 from .errors import (
     AlreadyRegisteredError,
     DuplicateEntityError,
@@ -297,8 +297,18 @@ class Ledger:
         self._images_by_recipe: dict[str, list[str]] = {}
         self._links: dict[str, tuple[str, str | None] | None] = {}
         self._children_by_image: dict[str, list[str]] = {}
+        self._verified: dict[tuple[bytes, Signature, PublicKey], bool] = {}
         self._offset = 0
         self._line_no = 0
+
+    def verify(self, content: bytes, sig: Signature, key: PublicKey) -> bool:
+        """``crypto.verify``, remembered for this handle under its exact
+        inputs: the signed bytes, the signature and the key."""
+        inputs = (content, sig, key)
+        ok = self._verified.get(inputs)
+        if ok is None:
+            ok = self._verified[inputs] = crypto.verify(content, sig, key)
+        return ok
 
     def _flag(self, ref: str, check: str, detail: str) -> None:
         self.issues.append(ValidationEntry(ref, check, False, detail))
@@ -648,13 +658,17 @@ class Ledger:
 
     def _has_cycle(self) -> bool:
         # Parent links point at earlier builds, so a cycle can only come
-        # from a hand-crafted log; walk each chain defensively.
+        # from a hand-crafted log; walk each chain defensively. A walk
+        # stops at an image an earlier walk proved acyclic, so each image
+        # is walked once.
+        acyclic: set[str] = set()
         for img in self.images.values():
             seen = set()
             cur: ImageRecord | None = img
-            while cur is not None:
+            while cur is not None and cur.image_id not in acyclic:
                 if cur.image_id in seen:
                     return True
                 seen.add(cur.image_id)
                 cur = self.images.get(cur.parent_image_id) if cur.parent_image_id else None
+            acyclic |= seen
         return False

@@ -11,6 +11,10 @@ its signer is trusted now.
 A recipe's ``kind`` and ``parent_image_id`` are not covered by its
 signature, so the ``kind-parent`` check compares them with what replay
 derived from the signed ``FROM`` line (``Ledger.link``).
+
+Only the Ed25519 result is remembered: ``Ledger.verify`` keeps it per
+handle under the exact signed bytes, signature and key, and every other
+check, liveness and trust included, runs again on each call.
 """
 
 from __future__ import annotations
@@ -209,7 +213,7 @@ def _signer_checks(ledger: Ledger, record: RecipeRecord | ImageRecord, signed: b
         yield "signer-known", False, f"unknown signer {record.signer_id}"
         return
     yield "signer-known", True, ""
-    sig_ok = record.signature.signer_id == record.signer_id and crypto.verify(
+    sig_ok = record.signature.signer_id == record.signer_id and ledger.verify(
         signed, record.signature, signer.public_key
     )
     yield "signature", sig_ok, "" if sig_ok else "signature does not verify"

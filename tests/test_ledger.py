@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -422,6 +424,42 @@ def test_check_integrity_clean(trusted_ledger):
     for check in ("signer-known", "recipe-known", "parent-known", "kind-parent",
                   "parent-earlier", "parent-mirrors-recipe", "parent-forest"):
         assert check in checks
+
+
+def _image_chain(n: int) -> SimpleNamespace:
+    """Stand-in ledger for ``Ledger._has_cycle``: n images, each built from
+    the previous one, in replay order."""
+    images: dict[str, SimpleNamespace] = {}
+    parent = None
+    for i in range(n):
+        image_id = f"20260102T030405Z-{i:064x}"
+        images[image_id] = SimpleNamespace(image_id=image_id, parent_image_id=parent)
+        parent = image_id
+    return SimpleNamespace(images=images)
+
+
+def test_has_cycle_is_linear_on_a_50000_image_chain():
+    chain = _image_chain(50_000)
+    start = time.perf_counter()
+    assert not Ledger._has_cycle(chain)
+    chain.images = dict(reversed(chain.images.items()))
+    assert not Ledger._has_cycle(chain)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("forge", ["root-2-cycle", "tail-2-cycle", "tail-self-loop"])
+def test_has_cycle_reports_forged_cycles(forge):
+    chain = _image_chain(10)
+    ids = list(chain.images)
+    if forge == "root-2-cycle":  # every chain leads into it
+        chain.images[ids[0]].parent_image_id = ids[1]
+    else:  # reached only after every other image was proven acyclic
+        a, b = (f"20260102T030405Z-{c * 64}" for c in "ab")
+        loop_to = b if forge == "tail-2-cycle" else a
+        chain.images[a] = SimpleNamespace(image_id=a, parent_image_id=loop_to)
+        chain.images[b] = SimpleNamespace(image_id=b, parent_image_id=a)
+    assert Ledger._has_cycle(chain)
 
 
 def test_index_summary_written(tmp_path, keypair):

@@ -4,6 +4,7 @@ the one parent link every forest walk follows."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -231,8 +232,9 @@ def test_unknown_signer_gives_missing_entity(trusted_ledger):
     assert decision.reasons == ("missing:entity:mallory",)
 
 
-def test_verify_counts_per_caller(trusted_ledger, monkeypatch):
-    ledger, signer, private = trusted_ledger
+@pytest.fixture
+def counted_verifies(monkeypatch):
+    """Counts the Ed25519 verifies actually made: ``[count]``."""
     calls = [0]
     real = spock.crypto.verify
 
@@ -241,6 +243,12 @@ def test_verify_counts_per_caller(trusted_ledger, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(spock.crypto, "verify", counting)
+    return calls
+
+
+def test_verify_counts_per_caller(trusted_ledger, counted_verifies):
+    ledger, signer, private = trusted_ledger
+    calls = counted_verifies
     engine = MockEngine()
     parent = None
     for depth in range(1, 5):
@@ -253,11 +261,95 @@ def test_verify_counts_per_caller(trusted_ledger, monkeypatch):
         calls[0] = 0
         parent = builder.build(ledger, rec.recipe_hash, engine, signer, private)
         # two precondition passes (before the engine and inside the commit
-        # lock), each verifying the recipe and the 2(d-1) records above it
-        assert calls[0] == 2 * (1 + 2 * (depth - 1))
+        # lock): only the new recipe is verified, once; the records above
+        # it were verified by the previous check on this handle
+        assert calls[0] == 1
         calls[0] = 0
         assert rungate.check_runnable(ledger, parent.image_id).allowed
-        assert calls[0] == 2 * depth
+        assert calls[0] == 1  # the new image
+        calls[0] = 0
+        assert rungate.check_runnable(ledger, parent.image_id).allowed
+        assert calls[0] == 0
     calls[0] = 0
     assert ledger.validate_all().ok
-    assert calls[0] == len(ledger.recipes) + len(ledger.images)
+    assert calls[0] == 0
+
+
+def test_memo_keeps_no_verdict_past_remove_or_distrust(
+    trusted_ledger, second_keypair, counted_verifies
+):
+    ledger, alice, alice_key = trusted_ledger
+    bob, bob_key = "bob", second_keypair[1]
+    ledger.add_entity(bob, second_keypair[0])
+    _, alice_image = register_and_build(ledger, ROOT_TEXT, alice, alice_key)
+    _, bob_image = register_and_build(ledger, "FROM debian:12\nRUN echo b\n", bob, bob_key)
+    for image in (alice_image, bob_image):
+        assert rungate.check_runnable(ledger, image.image_id).allowed
+    counted_verifies[0] = 0
+    for image in (alice_image, bob_image):
+        assert rungate.check_runnable(ledger, image.image_id).allowed
+    assert counted_verifies[0] == 0  # every verify above hit the memo
+
+    revocation.remove(ledger, bob_image.image_id, "bad build")
+    decision = rungate.check_runnable(ledger, bob_image.image_id)
+    assert decision.verdict == "deny"
+    assert decision.reasons == (f"purged:image:{bob_image.image_id}",)
+
+    revocation.distrust(ledger, alice, "key leaked")
+    decision = rungate.check_runnable(ledger, alice_image.image_id)
+    assert decision.verdict == "deny"
+    assert f"untrusted-signer:{alice}" in decision.reasons
+    assert counted_verifies[0] == 0
+
+
+def test_ledger_verify_rejects_a_flipped_signature_and_another_key(
+    trusted_ledger, second_keypair
+):
+    ledger, signer, private = trusted_ledger
+    rec = recipe.register_root(ledger, ROOT_TEXT, signer, private)
+    key = ledger.get_entity(signer).public_key
+    assert ledger.verify(rec.content, rec.signature, key)
+    flipped = bytearray(rec.signature.value)
+    flipped[0] ^= 0x01
+    forged = dataclasses.replace(rec.signature, value=bytes(flipped))
+    assert not ledger.verify(rec.content, forged, key)
+    assert not ledger.verify(rec.content, rec.signature, second_keypair[0])
+    assert not ledger.verify(rec.content + b"\n", rec.signature, key)
+    assert ledger.verify(rec.content, rec.signature, key)
+
+
+def _verdicts(ledger: Ledger, image_ids: list[str]) -> dict:
+    out = {}
+    for image_id in image_ids:
+        decision = rungate.check_runnable(ledger, image_id)
+        out[image_id] = (decision.verdict, decision.reasons)
+    return out
+
+
+def test_warm_handle_answers_as_a_fresh_open(two_roots_and_child, second_keypair):
+    ledger, alice, alice_key, image_a, image_b, child = two_roots_and_child
+    child_image = builder.build(ledger, child.recipe_hash, MockEngine(), alice, alice_key)
+    ledger.add_entity("bob", second_keypair[0])
+    _, bob_image = register_and_build(
+        ledger, "FROM ubuntu:24.04\nRUN echo bob\n", "bob", second_keypair[1]
+    )
+    bob_child = recipe.register_child(
+        ledger, f"FROM trusted:{bob_image.image_id}\nRUN echo alice\n", alice, alice_key
+    )
+    bob_child_image = builder.build(ledger, bob_child.recipe_hash, MockEngine(), alice, alice_key)
+    ids = [image_a.image_id, image_b.image_id, child_image.image_id,
+           bob_image.image_id, bob_child_image.image_id, "20181001T120000Z-" + "c" * 64]
+
+    warm = _verdicts(ledger, ids)
+    assert [verdict for verdict, _ in warm.values()] == ["allow"] * 5 + ["deny"]
+    assert _verdicts(ledger, ids) == warm == _verdicts(Ledger.open(ledger.root, sync=False), ids)
+
+    revocation.remove(ledger, image_a.image_id, "bad base")
+    after_remove = _verdicts(ledger, ids)
+    assert after_remove != warm
+    assert after_remove == _verdicts(Ledger.open(ledger.root, sync=False), ids)
+
+    revocation.distrust(ledger, "bob", "key leaked")
+    after_distrust = _verdicts(ledger, ids)
+    assert after_distrust != after_remove
+    assert after_distrust == _verdicts(Ledger.open(ledger.root, sync=False), ids)
