@@ -33,10 +33,13 @@ _ISO_BASIC_RE = re.compile(r"(\d{4})(\d\d)(\d\d)T(\d\d)(\d\d)(\d\d)Z", re.ASCII)
 
 
 def _parse(pattern: re.Pattern, text: str) -> datetime:
-    match = pattern.fullmatch(text)
-    if match is None:
+    if pattern.fullmatch(text) is None:
         raise ValueError(f"malformed timestamp: {text!r}")
-    return datetime(*map(int, match.groups()), tzinfo=timezone.utc)
+    # The pattern admits only the two forms above. From Python 3.11,
+    # fromisoformat reads both, 'Z' as timezone.utc, with the datetime
+    # constructor's range errors, and several times faster than converting
+    # six fields: replay parses one stamp per recipe line.
+    return datetime.fromisoformat(text)
 
 
 def parse_iso(text: str) -> datetime:

@@ -52,7 +52,8 @@ def encode_text(data: bytes) -> str:
 
 def decode_text(text: str) -> bytes:
     try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
+        # exactly what b64decode(validate=True) runs from Python 3.11
+        return binascii.a2b_base64(text.encode("ascii"), strict_mode=True)
     except (binascii.Error, ValueError, UnicodeEncodeError) as exc:
         raise SpockError(f"invalid base64 text: {exc}") from exc
 
@@ -138,11 +139,9 @@ class Signature:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Signature":
-        return cls(
-            algorithm=data["algorithm"],
-            value=decode_text(data["value"]),
-            signer_id=data["signer_id"],
-        )
+        # positional, in field order, as replay builds one per record; a
+        # test round-trips every field, so a reordered field fails it
+        return cls(data["algorithm"], decode_text(data["value"]), data["signer_id"])
 
 
 def keygen() -> tuple[PublicKey, PrivateKey]:

@@ -31,10 +31,13 @@ reads it.
 
 from __future__ import annotations
 
+import binascii
 import fcntl
+import io
 import json
 import os
 from collections import Counter
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -125,43 +128,50 @@ def append_line(path: Path, record, sync: bool) -> tuple[str, int]:
 
 
 def read_lines(
-    data: bytes, line_no: int, prefix: str, issues: list[ValidationEntry]
+    lines: Iterable[bytes], line_no: int, prefix: str, issues: list[ValidationEntry]
 ) -> tuple[list, int, int]:
-    """Parse the complete lines of ``data``, numbered from ``line_no + 1``:
-    (records that parse, bytes consumed, lines consumed). An incomplete
-    final line is a crash artifact, not part of the log. Each problem is
-    added to ``issues`` as a failing entry with ref ``<prefix><n>``."""
-    lines = data.split(b"\n")[:-1]
+    """Parse the complete lines of ``lines`` (each with its newline), numbered
+    from ``line_no + 1``: (records that parse, bytes consumed, lines consumed).
+    An incomplete final line is a crash artifact, not part of the log. Each
+    problem is added to ``issues`` as a failing entry with ref ``<prefix><n>``."""
     records = []
-    for n, line in enumerate(lines, line_no + 1):
-        record = parse_log_line(line, f"{prefix}{n}", issues)
-        if record is not None:
-            records.append(record)
-    return records, data.rfind(b"\n") + 1, len(lines)
-
-
-def parse_log_line(line: bytes, ref: str, issues: list[ValidationEntry]):
-    """Decode one log line; return its record, or None when it does not
-    parse. Every problem found is added to ``issues`` under ``ref``."""
-    try:
-        text = line.decode("ascii")
-        stored_digest, rtype, payload_b64 = text.split(" ")
-        payload = crypto.decode_text(payload_b64)
-        data = json.loads(payload)
-        if data.get("record") != rtype:
-            raise SpockError("record type token mismatch")
-        record = load_record(rtype, data)
-    except Exception as exc:
-        issues.append(ValidationEntry(ref, "parse", False, f"corrupt log line: {exc}"))
-        return None
-    if crypto.encode_text(payload) != payload_b64:
-        # decodes, but not to the exact bytes we would have written:
-        # the line was altered into a non-canonical encoding
-        issues.append(ValidationEntry(ref, "record-digest", False, "non-canonical record encoding"))
-    if crypto.digest(payload) != stored_digest:
-        detail = f"stored digest does not match record bytes ({record_ref(record)})"
-        issues.append(ValidationEntry(ref, "record-digest", False, detail))
-    return record
+    consumed = 0
+    n = line_no
+    for line in lines:
+        if not line.endswith(b"\n"):
+            break
+        consumed += len(line)
+        n += 1
+        line = line[:-1]
+        try:
+            if not line.isascii():
+                line.decode("ascii")  # raises, naming the first non-ASCII byte
+            stored_digest, rtype, encoded = line.split(b" ")
+            rtype = rtype.decode("ascii")
+            try:
+                # crypto.decode_text's decode and error text, on the bytes read
+                payload = binascii.a2b_base64(encoded, strict_mode=True)
+            except binascii.Error as exc:
+                raise SpockError(f"invalid base64 text: {exc}") from exc
+            fields = json.loads(payload)
+            if fields.get("record") != rtype:
+                raise SpockError("record type token mismatch")
+            record = load_record(rtype, fields)
+        except Exception as exc:
+            issues.append(ValidationEntry(f"{prefix}{n}", "parse", False, f"corrupt log line: {exc}"))
+            continue
+        records.append(record)
+        # The strict decode admitted whole quanta with correct padding, so
+        # the text can differ from the encoding we would have written only
+        # in the unused bits of its final quantum: re-encode just that.
+        if binascii.b2a_base64(payload[-(len(payload) % 3 or 3):], newline=False) != encoded[-4:]:
+            issues.append(
+                ValidationEntry(f"{prefix}{n}", "record-digest", False, "non-canonical record encoding")
+            )
+        if crypto.digest(payload).encode("ascii") != stored_digest:
+            detail = f"stored digest does not match record bytes ({record_ref(record)})"
+            issues.append(ValidationEntry(f"{prefix}{n}", "record-digest", False, detail))
+    return records, consumed, n - line_no
 
 
 class Ledger:
@@ -278,8 +288,9 @@ class Ledger:
             return
         with open(self.log_path, "rb") as fh:
             fh.seek(self._offset)
-            data = fh.read()
-        records, consumed, lines = read_lines(data, self._line_no, "line:", self.issues)
+            # parse as it reads: holding the whole tail and then its split
+            # lines would touch twice its size in fresh memory
+            records, consumed, lines = read_lines(fh, self._line_no, "line:", self.issues)
         self._offset += consumed
         self._line_no += lines
         for record in records:
@@ -401,7 +412,7 @@ class Ledger:
         except FileNotFoundError:
             return [], []
         issues: list[ValidationEntry] = []
-        records = read_lines(data, 0, "audit:line:", issues)[0]
+        records = read_lines(io.BytesIO(data), 0, "audit:line:", issues)[0]
         _verified_audit[self.audit_path] = (identity, tuple(issues))
         return records, issues
 

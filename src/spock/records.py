@@ -114,14 +114,16 @@ class RecipeRecord:
 
     @classmethod
     def from_record_dict(cls, data: dict) -> "RecipeRecord":
+        # positional, in field order, as replay builds one per recipe line; a
+        # test round-trips every field, so a reordered field fails it
         return cls(
-            recipe_hash=data["recipe_hash"],
-            kind=data["kind"],
-            content=crypto.decode_text(data["content"]),
-            signature=Signature.from_dict(data["signature"]),
-            signer_id=data["signer_id"],
-            parent_image_id=data["parent_image_id"],
-            registered_at=clock.parse_iso(data["registered_at"]),
+            data["recipe_hash"],
+            data["kind"],
+            crypto.decode_text(data["content"]),
+            Signature.from_dict(data["signature"]),
+            data["signer_id"],
+            data["parent_image_id"],
+            clock.parse_iso(data["registered_at"]),
         )
 
 
@@ -169,14 +171,16 @@ class ImageRecord:
 
     @classmethod
     def from_record_dict(cls, data: dict) -> "ImageRecord":
+        # positional, in field order, as replay builds one per image line; a
+        # test round-trips every field, so a reordered field fails it
         return cls(
-            image_id=data["image_id"],
-            recipe_hash=data["recipe_hash"],
-            parent_image_id=data["parent_image_id"],
-            image_digest=data["image_digest"],
-            step_digests=tuple(data["step_digests"]),
-            signature=Signature.from_dict(data["signature"]),
-            signer_id=data["signer_id"],
+            data["image_id"],
+            data["recipe_hash"],
+            data["parent_image_id"],
+            data["image_digest"],
+            tuple(data["step_digests"]),
+            Signature.from_dict(data["signature"]),
+            data["signer_id"],
         )
 
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from spock import Ledger, builder, crypto, recipe, rungate
+from spock import Ledger, builder, crypto, recipe, revocation, rungate
 from spock.builder import MockEngine
 from spock.errors import (
     AlreadyRegisteredError,
@@ -17,14 +20,16 @@ from spock.errors import (
     RebuildDeniedError,
     SpockError,
 )
+from spock.crypto import Signature
 from spock.records import (
+    ImageRecord,
     LedgerEvent,
     RecipeRecord,
     STATUS_LIVE,
     canonical_json,
     record_bytes,
 )
-from spock.ledger import format_log_line
+from spock.ledger import format_log_line, read_lines
 from tests.conftest import ROOT_TEXT, register_and_build
 
 from datetime import datetime, timezone
@@ -262,6 +267,220 @@ def test_unpadded_timestamp_with_valid_digest_is_a_parse_issue(trusted_ledger):
     decision = rungate.check_runnable(reopened, image.image_id)
     assert not decision.allowed
     assert "signature-invalid:line:3" in decision.reasons
+
+
+def _line_of(data, rtype: str | None = None, payload: bytes | None = None) -> bytes:
+    """A log line with a digest recomputed over its (possibly forged) payload."""
+    payload = canonical_json(data) if payload is None else payload
+    return format_log_line(crypto.digest(payload), rtype or data["record"], payload).rstrip(b"\n")
+
+
+def _without(data: dict, key: str) -> dict:
+    return {k: v for k, v in data.items() if k != key}
+
+
+def _with_signature_value(data: dict, value: str) -> dict:
+    return {**data, "signature": {**data["signature"], "value": value}}
+
+
+def _error_text(fn) -> str:
+    """The message the running interpreter gives for ``fn``'s failure."""
+    try:
+        fn()
+    except Exception as exc:
+        return str(exc)
+    raise AssertionError("expected an error")
+
+
+def _unpack_three(parts: list) -> None:
+    _, _, _ = parts
+
+
+RECIPE_HASH = crypto.digest(ROOT_TEXT.encode())
+# one forged recipe line (line 3) per malformed class, and the exact
+# (check, detail) replay reports for it
+MALFORMED_LINES = {
+    "non-ascii-byte": (
+        lambda line, data: line[:100] + b"\xc3" + line[101:],
+        "parse",
+        "corrupt log line: 'ascii' codec can't decode byte 0xc3 in position 100: "
+        "ordinal not in range(128)",
+    ),
+    "field-count": (
+        lambda line, data: line + b" extra",
+        "parse",
+        "corrupt log line: " + _error_text(lambda: _unpack_three([1, 2, 3, 4])),
+    ),
+    "outer-base64": (
+        lambda line, data: line[:80] + b"*" + line[81:],
+        "parse",
+        "corrupt log line: invalid base64 text: "
+        + _error_text(lambda: base64.b64decode(b"ab*d", validate=True)),
+    ),
+    "non-json-payload": (
+        lambda line, data: _line_of(data, "recipe", b"not json"),
+        "parse",
+        "corrupt log line: Expecting value: line 1 column 1 (char 0)",
+    ),
+    "json-array-payload": (
+        lambda line, data: _line_of(data, "recipe", b'["recipe"]'),
+        "parse",
+        "corrupt log line: 'list' object has no attribute 'get'",
+    ),
+    "type-token-mismatch": (
+        lambda line, data: _line_of(data, "image"),
+        "parse",
+        "corrupt log line: record type token mismatch",
+    ),
+    "unknown-record-type": (
+        lambda line, data: _line_of({**data, "record": "bogus"}),
+        "parse",
+        "corrupt log line: unknown record type: bogus",
+    ),
+    "missing-field": (
+        lambda line, data: _line_of(_without(data, "signer_id")),
+        "parse",
+        "corrupt log line: 'signer_id'",
+    ),
+    "nested-signature-base64": (
+        lambda line, data: _line_of(_with_signature_value(data, data["signature"]["value"][:-1])),
+        "parse",
+        "corrupt log line: invalid base64 text: "
+        + _error_text(lambda: base64.b64decode(b"abc", validate=True)),
+    ),
+    "stored-digest-mismatch": (
+        lambda line, data: crypto.digest(b"other").encode("ascii") + line[64:],
+        "record-digest",
+        f"stored digest does not match record bytes (recipe:{RECIPE_HASH})",
+    ),
+}
+
+
+@pytest.mark.parametrize("malformed", sorted(MALFORMED_LINES))
+def test_replay_reports_each_malformed_line_exactly(trusted_ledger, malformed):
+    ledger, signer, private = trusted_ledger
+    _, image = register_and_build(ledger, ROOT_TEXT, signer, private)
+    forge, check, detail = MALFORMED_LINES[malformed]
+    lines = ledger.log_path.read_bytes().split(b"\n")
+    data = json.loads(crypto.decode_text(lines[2].split(b" ")[2].decode("ascii")))
+    lines[2] = forge(lines[2], data)
+    ledger.log_path.write_bytes(b"\n".join(lines))
+
+    reopened = Ledger.open(ledger.root, sync=False)
+    assert [(i.ref, i.check, i.detail) for i in reopened.issues] == [("line:3", check, detail)]
+    decision = rungate.check_runnable(reopened, image.image_id)
+    assert not decision.allowed
+    assert "signature-invalid:line:3" in decision.reasons
+
+
+def test_non_canonical_base64_padding_bits_are_a_record_digest_issue(trusted_ledger):
+    ledger, signer, private = trusted_ledger
+    _, image = register_and_build(ledger, ROOT_TEXT, signer, private)
+    alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    lines = ledger.log_path.read_bytes().split(b"\n")
+    # the first line whose final base64 quantum is padded has unused bits
+    n, line = next((n, line) for n, line in enumerate(lines, 1) if line.endswith(b"="))
+    encoded = line.split(b" ")[2]
+    last = len(encoded.rstrip(b"=")) - len(encoded) + len(line) - 1
+    forged = alphabet[alphabet.index(line[last]) | 1]
+    assert forged != line[last]  # canonical encoders leave the unused bits zero
+    lines[n - 1] = line[:last] + bytes([forged]) + line[last + 1:]
+    assert crypto.decode_text(lines[n - 1].split(b" ")[2].decode("ascii")) == crypto.decode_text(
+        encoded.decode("ascii")
+    )
+    ledger.log_path.write_bytes(b"\n".join(lines))
+
+    reopened = Ledger.open(ledger.root, sync=False)
+    issues = [(i.ref, i.check, i.detail) for i in reopened.issues]
+    assert issues == [(f"line:{n}", "record-digest", "non-canonical record encoding")]
+    decision = rungate.check_runnable(reopened, image.image_id)
+    assert not decision.allowed
+    assert f"signature-invalid:line:{n}" in decision.reasons
+
+
+@pytest.mark.parametrize("extra", ["", "a", "ab"])  # each length modulo 3
+def test_non_canonical_check_agrees_with_a_full_re_encode(extra):
+    # a string sorts last, so many changes near the end still load
+    payload = canonical_json(
+        {"created_at": "2026-01-02T03:04:05Z", "record": "meta", "schema_version": 1, "~": "text" + extra}
+    )
+    encoded = base64.b64encode(payload)
+    # every one-character change in the last two quanta
+    for at in range(len(encoded) - 8, len(encoded)):
+        for char in b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=":
+            forged = encoded[:at] + bytes([char]) + encoded[at + 1:]
+            try:
+                decoded = base64.b64decode(forged, validate=True)
+            except binascii.Error:
+                continue  # a parse issue
+            line = f"{crypto.digest(decoded)} meta ".encode("ascii") + forged + b"\n"
+            issues: list = []
+            records = read_lines([line], 0, "line:", issues)[0]
+            flagged = ("record-digest", "non-canonical record encoding") in {
+                (i.check, i.detail) for i in issues
+            }
+            assert flagged == (records != [] and base64.b64encode(decoded) != forged), forged
+
+
+def test_open_does_each_lines_decoding_once(fig_tree, monkeypatch):
+    ledger = fig_tree["ledger"]
+    revocation.remove(ledger, fig_tree["leaf_image"].image_id, "fixture")
+    calls: Counter[str] = Counter()
+    reencoded: list[int] = []
+    b2a_base64 = binascii.b2a_base64
+
+    def counted(name, fn):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counting
+
+    def encoding(data, **kwargs):
+        reencoded.append(len(data))
+        return b2a_base64(data, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted("json.loads", json.loads))
+    monkeypatch.setattr(binascii, "a2b_base64", counted("a2b_base64", binascii.a2b_base64))
+    monkeypatch.setattr(binascii, "b2a_base64", encoding)
+    monkeypatch.setattr(crypto, "encode_text", counted("encode_text", crypto.encode_text))
+    reopened = Ledger.open(ledger.root, sync=False)
+    lines = len(ledger.log_path.read_bytes().splitlines())
+    # public key; recipe content and signature; image signature
+    fields = len(reopened.entities) + 2 * len(reopened.recipes) + len(reopened.images)
+    assert (lines, fields) == (1 + 1 + 3 + 3 + 1, 1 + 6 + 3)
+    assert calls["json.loads"] == lines
+    assert calls["a2b_base64"] == lines + fields
+    # the non-canonical check re-encodes only each payload's final quantum
+    assert calls["encode_text"] == 0
+    assert len(reencoded) == lines and max(reencoded) <= 3
+
+
+def test_record_loaders_read_every_field_into_its_own_field():
+    # The loaders build records positionally; every field here holds a
+    # distinct value, so a reordered dataclass field fails the round trip.
+    signature = Signature(algorithm="ed25519", value=b"sig-bytes", signer_id="alice")
+    recipe_record = RecipeRecord(
+        recipe_hash="1" * 64,
+        kind="child",
+        content=b"FROM parent\n",
+        signature=signature,
+        signer_id="bob",
+        parent_image_id="20260102T030405Z-" + "2" * 64,
+        registered_at=datetime(2026, 1, 2, 3, 4, 5, tzinfo=timezone.utc),
+    )
+    image_record = ImageRecord(
+        image_id="20260102T030406Z-" + "1" * 64,
+        recipe_hash="3" * 64,
+        parent_image_id="20260102T030405Z-" + "2" * 64,
+        image_digest="4" * 64,
+        step_digests=("5" * 64, "6" * 64),
+        signature=signature,
+        signer_id="carol",
+    )
+    assert Signature.from_dict(signature.to_dict()) == signature
+    for record in (recipe_record, image_record):
+        assert type(record).from_record_dict(record.to_record_dict()) == record
 
 
 def test_close_reopen_round_trips_records_bit_exactly(trusted_ledger):
