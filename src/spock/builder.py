@@ -10,6 +10,9 @@ Only one live image may ever exist per recipe. Rebuilding requires
 revoking the existing image first; a difference rebuild instead runs the
 recipe again into a quarantine tag and reports divergence without
 touching any ledger status.
+
+Whether a recipe may be built or an image rebuilt is decided by
+``provenance.lineage_problems``; ``_REFUSALS`` only picks the error.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .errors import (
 from .ledger import Ledger
 from .provenance import lineage_problems
 from .recipe import Recipe, parse, require_trusted
-from .records import ImageRecord, LedgerEvent, STATUS_LIVE
-from .verify import PURGED, UNTRUSTED_SIGNER, record_problems
+from .records import ImageRecord, LedgerEvent, RecipeRecord, STATUS_LIVE
+from .verify import PURGED, UNKNOWN_IMAGE, UNTRUSTED_SIGNER
 from . import clock
 
 QUARANTINE_NAMESPACE = "spock-quarantine"
@@ -159,6 +162,25 @@ class ExecEngine:
             return BuildResult(image_digest=matches[-1], step_digests=(), engine_log=log)
 
 
+# which error refuses a node, by the first of its problem codes found here;
+# any other problem means the ledger's records cannot be believed
+_REFUSALS = (
+    (UNKNOWN_IMAGE, NotFoundError),
+    (UNTRUSTED_SIGNER, UntrustedSignerError),
+    (PURGED, PurgedError),
+)
+
+
+def _admit(ledger: Ledger, node: str | RecipeRecord, noun: str) -> None:
+    """Raise unless the admission rule lets ``node`` be used."""
+    problems = lineage_problems(ledger, node)
+    if not problems:
+        return
+    codes = {p.code for p in problems}
+    error = next((e for code, e in _REFUSALS if code in codes), SignatureInvalidError)
+    raise error(f"{noun} lineage fails verification: {'; '.join(map(str, problems))}")
+
+
 def _build_preconditions(
     ledger: Ledger, recipe_hash: str, signer: str
 ) -> tuple[Recipe, ImageRecord | None]:
@@ -174,27 +196,10 @@ def _build_preconditions(
             f"a live image already exists for recipe {recipe_hash}: {live.image_id}; "
             "it must be removed before the recipe can be rebuilt"
         )
-    # the recipe itself, and its ancestry through the parent image; the
-    # recipe's own previous (now purged) image is deliberately not a
-    # problem here, since removal is exactly what permits rebuilding
-    problems = record_problems(ledger, record)
-    parent_id = ledger.parent_of(recipe_hash)
-    parent = None
-    if parent_id is not None:
-        parent = ledger.images.get(parent_id)
-        if parent is None:
-            raise NotFoundError(f"parent image missing: {parent_id}")
-        problems.extend(lineage_problems(ledger, parent))
-    if problems:
-        codes = {p.code for p in problems}
-        if UNTRUSTED_SIGNER in codes:
-            error = UntrustedSignerError
-        elif PURGED in codes:
-            error = PurgedError
-        else:
-            error = SignatureInvalidError
-        raise error(f"recipe lineage fails verification: {'; '.join(map(str, problems))}")
-    return parse(record.text), parent
+    # the recipe node carries no image, so its own previous (now purged)
+    # image is deliberately not a problem: removal is what permits rebuilding
+    _admit(ledger, record, "recipe")
+    return parse(record.text), ledger.images.get(ledger.parent_of(recipe_hash))
 
 
 def build(
@@ -238,19 +243,11 @@ def diff_rebuild(ledger: Ledger, image_id: str, engine) -> DiffReport:
     is appended to the audit history.
     """
     ledger.refresh()
-    image = ledger.images.get(image_id)
-    if image is None:
-        raise NotFoundError(f"unknown image: {image_id}")
-    if image.status != STATUS_LIVE:
-        raise PurgedError(f"image is not live: {image_id}")
-    recipe = ledger.recipes.get(image.recipe_hash)
-    if recipe is None or recipe.status != STATUS_LIVE:
-        raise PurgedError(f"recipe is not live: {image.recipe_hash}")
-    parsed = parse(recipe.text)
-    parent_digest = None
-    if image.parent_image_id is not None:
-        parent = ledger.get_image(image.parent_image_id)
-        parent_digest = parent.image_digest
+    _admit(ledger, image_id, "image")
+    image = ledger.images[image_id]
+    parsed = parse(ledger.recipes[image.recipe_hash].text)
+    parent = ledger.images.get(ledger.parent_of(image.recipe_hash))
+    parent_digest = None if parent is None else parent.image_digest
     result = engine.build(parsed, parent_digest, tag=f"{QUARANTINE_NAMESPACE}/{image_id.lower()}")
     diffs = []
     trusted = image.step_digests

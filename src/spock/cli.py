@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import builder, crypto, provenance, recipe, revocation, rungate
-from .errors import NotFoundError, SpockError
+from .errors import NotFoundError, RunDeniedError, SpockError
 from .ledger import Ledger
 
 DEFAULT_RUN_COMMAND = "docker run --rm {image}"
@@ -435,9 +435,7 @@ def cmd_run(args, cfg: Config) -> int:
     ledger = cfg.open_ledger()
     outcome = rungate.run(ledger, args.image_id, cfg.run_command)
     if not outcome.spawned:
-        reasons = "; ".join(outcome.decision.reasons)
-        print(f"error: RUN_DENIED: image {args.image_id} denied: {reasons}", file=sys.stderr)
-        return 10
+        raise RunDeniedError(f"image {args.image_id} denied: {'; '.join(outcome.decision.reasons)}")
     assert outcome.exit_status is not None
     return outcome.exit_status
 

@@ -77,8 +77,6 @@ KEYS_DIR = "keys"
 ARCHIVE_DIR = "archive"
 INDEX_DIR = "index"
 LOCK_NAME = ".lock"
-# replay issues that mean the log itself was altered
-TAMPER_CHECKS = ("parse", "record-digest", "duplicate")
 # Per log path: the identity of the file as this process last parsed it or
 # appended to it, and the issues it then had. Only read_audit fills it:
 # validate parses audit.log again only when its identity changed, and

@@ -5,6 +5,10 @@ recipe's signed FROM line names the specific parent image it extends,
 which makes the upward path from any node to its root unique. Purged
 nodes stay queryable and are flagged rather than hidden, because the
 history is append-only.
+
+``lineage_problems`` is the one admission rule: ``check``, ``run``,
+``child`` (for the parent image), ``build`` (for the recipe) and
+``diff-rebuild`` ask it, and none of them repeats any of its checks.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from .errors import NotFoundError
 from .ledger import Ledger
 from .records import ImageRecord, RecipeRecord, STATUS_LIVE
-from .verify import MISSING, Problem, record_problems
+from .verify import MISSING, SIGNATURE_INVALID, TAMPER_CHECKS, UNKNOWN_IMAGE, Problem, record_problems
 
 
 @dataclass(frozen=True)
@@ -43,25 +47,12 @@ def _node_recipe(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> tupl
     return record, None
 
 
-def _display_image_for(ledger: Ledger, recipe: RecipeRecord) -> ImageRecord | None:
-    """The image shown for a recipe node: its live image, else its most
-    recent purged one, else None."""
-    images = ledger.images_of(recipe.recipe_hash)
-    if not images:
-        return None
-    for img in images:
-        if img.status == STATUS_LIVE:
-            return img
-    return images[-1]
-
-
 def _path(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[tuple[RecipeRecord, ImageRecord | None]]:
     """(recipe, image) pairs from a node's root down to the node, each
     recipe's parent taken from its signed FROM line. A forged log can
-    make that link loop, which is a broken lineage too."""
+    make that link loop, which is a broken lineage too. A recipe node
+    carries no image of its own."""
     recipe, image = _node_recipe(ledger, node)
-    if image is None:
-        image = _display_image_for(ledger, recipe)
     path = [(recipe, image)]
     visited: set[str] = set()
     while (parent_id := ledger.parent_of(recipe.recipe_hash)) is not None:
@@ -78,7 +69,13 @@ def _path(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[tuple[
 
 
 def lineage(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[LineageNode]:
-    """Unique path from a node's root down to the node itself."""
+    """Unique path from a node's root down to the node itself. A recipe
+    node shows its live image, else its most recent purged one."""
+    path = _path(ledger, node)
+    recipe, image = path[-1]
+    if image is None:
+        images = ledger.images_of(recipe.recipe_hash)
+        path[-1] = (recipe, ledger.live_image_for(recipe.recipe_hash) or (images[-1] if images else None))
     return [
         LineageNode(
             recipe_hash=recipe.recipe_hash,
@@ -88,7 +85,7 @@ def lineage(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[Line
             recipe_status=recipe.status,
             image_status=image.status if image is not None else None,
         )
-        for recipe, image in _path(ledger, node)
+        for recipe, image in path
     ]
 
 
@@ -118,14 +115,21 @@ def descendants(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> set[s
 
 
 def lineage_problems(ledger: Ledger, node: str | RecipeRecord | ImageRecord) -> list[Problem]:
-    """Verify a node's full ancestry: every recipe and image on the path
-    passes its record checks, is live, and is signed by a currently
-    trusted entity. Returns the problems in path order, empty when clean."""
+    """Why a node may not be run, extended or built; empty when it may.
+    A sign that ``ledger.log`` was altered denies every node. A string is
+    an exact image id, denied when unknown. Every recipe and image on the
+    path must pass its record checks, be live and have a signer trusted
+    now; a recipe node is checked without an image of its own."""
+    problems = [Problem(SIGNATURE_INVALID, i.ref) for i in ledger.issues if i.check in TAMPER_CHECKS]
+    if isinstance(node, str):
+        image = ledger.images.get(node)
+        if image is None:
+            return [*problems, Problem(UNKNOWN_IMAGE, node)]
+        node = image
     try:
         path = _path(ledger, node)
     except NotFoundError as exc:
-        return [Problem(MISSING, exc.message)]
-    problems: list[Problem] = []
+        return [*problems, Problem(MISSING, exc.message)]
     for recipe, image in path:
         problems.extend(record_problems(ledger, recipe))
         if image is not None:

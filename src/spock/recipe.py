@@ -8,7 +8,8 @@ A recipe is plain text. Only the single FROM line is interpreted:
 Everything else is an opaque build step, preserved verbatim. Roots pull
 from outside the trust domain; children extend an image this ledger
 already vouches for, and may only be registered while that image and its
-whole ancestry are live, signed, and trusted.
+whole ancestry are live, signed, and trusted, as
+``provenance.lineage_problems`` decides.
 """
 
 from __future__ import annotations
@@ -123,59 +124,37 @@ def _check_hash_admissible(ledger: Ledger, recipe_hash: str) -> None:
     raise PurgedError(f"recipe content was revoked and is barred forever: {recipe_hash}")
 
 
-def register_root(
-    ledger: Ledger, text: str, signer: str, private_key: PrivateKey
-) -> RecipeRecord:
-    parsed = parse(text)
-    if parsed.kind != KIND_ROOT:
-        raise ParseError(
-            "recipe references an internal image; register it with the child command"
-        )
-    with ledger.exclusive():
-        require_trusted(ledger, signer)
-        recipe_hash = crypto.digest(parsed.content)
-        _check_hash_admissible(ledger, recipe_hash)
-        record = RecipeRecord(
-            recipe_hash=recipe_hash,
-            kind=KIND_ROOT,
-            content=parsed.content,
-            signature=crypto.sign(parsed.content, private_key, signer),
-            signer_id=signer,
-            parent_image_id=None,
-            registered_at=clock.now_utc(),
-        )
-        return ledger.put_recipe(record)
+def register_root(ledger: Ledger, text: str, signer: str, private_key: PrivateKey) -> RecipeRecord:
+    return _register(ledger, text, signer, private_key, KIND_ROOT)
 
 
-def register_child(
-    ledger: Ledger, text: str, signer: str, private_key: PrivateKey
+def register_child(ledger: Ledger, text: str, signer: str, private_key: PrivateKey) -> RecipeRecord:
+    return _register(ledger, text, signer, private_key, KIND_CHILD)
+
+
+def _register(
+    ledger: Ledger, text: str, signer: str, private_key: PrivateKey, kind: str
 ) -> RecipeRecord:
     parsed = parse(text)
-    if parsed.kind != KIND_CHILD:
-        raise ParseError(
-            "recipe references an external source; register it with the root command"
-        )
+    if parsed.kind != kind:
+        source = "an internal image" if parsed.kind == KIND_CHILD else "an external source"
+        raise ParseError(f"recipe references {source}; register it with the {parsed.kind} command")
     with ledger.exclusive():
         require_trusted(ledger, signer)
         recipe_hash = crypto.digest(parsed.content)
         _check_hash_admissible(ledger, recipe_hash)
         parent_id = parsed.parent_image_id
-        assert parent_id is not None
-        parent = ledger.images.get(parent_id)
-        if parent is None:
-            raise ParentRejectedError(f"referenced image does not exist: {parent_id}")
-        if parent.status != STATUS_LIVE:
-            raise ParentRejectedError(f"referenced image was purged: {parent_id}")
-        from .provenance import lineage_problems  # local import to avoid a cycle
+        if parent_id is not None:
+            from .provenance import lineage_problems  # local import to avoid a cycle
 
-        problems = lineage_problems(ledger, parent)
-        if problems:
-            raise ParentRejectedError(
-                f"referenced image fails lineage verification: {'; '.join(map(str, problems))}"
-            )
+            problems = lineage_problems(ledger, parent_id)
+            if problems:
+                raise ParentRejectedError(
+                    f"referenced image fails lineage verification: {'; '.join(map(str, problems))}"
+                )
         record = RecipeRecord(
             recipe_hash=recipe_hash,
-            kind=KIND_CHILD,
+            kind=kind,
             content=parsed.content,
             signature=crypto.sign(parsed.content, private_key, signer),
             signer_id=signer,

@@ -5,7 +5,9 @@ its recipe are live and signature-valid, every ancestor up to the root
 is live and signature-valid, and every signer on that path is still
 trusted. Unknown images are denied, not errored, and any detected
 tampering of ``ledger.log`` denies everything: a log that lies is worse
-than no log.
+than no log. That rule lives in ``provenance.lineage_problems``, which
+``child``, ``build`` and ``diff-rebuild`` ask too; this module only
+records and acts on its answer.
 
 Every decision is written to the ledger's ``audit.log``, which is history
 only: it is never replayed and never decides a later check.
@@ -18,14 +20,12 @@ from datetime import datetime
 
 from . import clock
 from .errors import SpawnError
-from .ledger import TAMPER_CHECKS, Ledger
+from .ledger import Ledger
 from .provenance import lineage_problems
 from .records import LedgerEvent
-from .verify import SIGNATURE_INVALID, Problem
 
 VERDICT_ALLOW = "allow"
 VERDICT_DENY = "deny"
-UNKNOWN_IMAGE = "unknown-image"
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,7 @@ class AdmissionDecision:
 def check_runnable(ledger: Ledger, image_id: str) -> AdmissionDecision:
     """Deny-by-default admission check over the image's full lineage."""
     ledger.refresh()
-    problems = [
-        Problem(SIGNATURE_INVALID, issue.ref)
-        for issue in ledger.issues
-        if issue.check in TAMPER_CHECKS
-    ]
-    image = ledger.images.get(image_id)
-    if image is None:
-        problems.append(Problem(UNKNOWN_IMAGE, image_id))
-    else:
-        problems.extend(lineage_problems(ledger, image))
+    problems = lineage_problems(ledger, image_id)
     decision = AdmissionDecision(
         image_id=image_id,
         verdict=VERDICT_ALLOW if not problems else VERDICT_DENY,

@@ -4,9 +4,9 @@ recipe or image record is valid.
 ``record_entries`` runs every per-record check on one record and returns
 one :class:`ValidationEntry` per check; ``Ledger.validate_all`` reports
 them for every record. ``record_problems`` turns the failing checks of a
-recipe or image into admission problems for ``check`` and ``build``, and
-adds the two predicates only admission asks for: the record is live, and
-its signer is trusted now.
+recipe or image into admission problems for
+``provenance.lineage_problems``, and adds the two predicates only
+admission asks for: the record is live, and its signer is trusted now.
 
 A recipe's ``kind`` and ``parent_image_id`` are not covered by its
 signature, so the ``kind-parent`` check compares them with what replay
@@ -47,6 +47,9 @@ PURGED = "purged"
 MISSING = "missing"
 UNTRUSTED_SIGNER = "untrusted-signer"
 SIGNATURE_INVALID = "signature-invalid"
+UNKNOWN_IMAGE = "unknown-image"
+# replay issues that mean the log itself was altered
+TAMPER_CHECKS = ("parse", "record-digest", "duplicate")
 
 # the order a record's problems are reported in
 _ORDER = (PURGED, MISSING, UNTRUSTED_SIGNER, SIGNATURE_INVALID)
