@@ -69,7 +69,7 @@ from .records import (
     canonical_json,
     load_record,
 )
-from .verify import ValidationEntry, ValidationReport, read_manifest, record_entries, record_ref
+from .verify import ValidationEntry, ValidationReport, read_bundle, record_entries, record_ref
 
 LOG_NAME = "ledger.log"
 AUDIT_NAME = "audit.log"
@@ -646,21 +646,16 @@ class Ledger:
                 continue
             ref = f"event:{event.event}:{i}"
             bundle_id = event.data.get("bundle_id", "")
+            bundle_ok, detail = True, ""
             try:
-                read_manifest(self.archive_root, bundle_id)
-                bundle_ok = True
+                read_bundle(self.archive_root, bundle_id)
             except NotFoundError:
                 add(ValidationEntry(ref, "bundle-present", False, f"missing bundle {bundle_id}"))
                 continue
-            except (TamperError, OSError):
-                bundle_ok = False
+            except (TamperError, OSError) as exc:
+                bundle_ok, detail = False, str(exc)
             add(ValidationEntry(ref, "bundle-present", True))
-            add(
-                ValidationEntry(
-                    ref, "bundle-manifest", bundle_ok,
-                    "" if bundle_ok else f"manifest digest mismatch for bundle {bundle_id}",
-                )
-            )
+            add(ValidationEntry(ref, "bundle-manifest", bundle_ok, detail))
 
         add(ValidationEntry("ledger", "parent-forest", not self._has_cycle()))
         return report

@@ -5,11 +5,13 @@ recipe takes its images and all children below them; purging an image
 takes the children that extend it but leaves the image's own recipe
 live, so the recipe can be rebuilt after the bad artifact is gone.
 
-Everything purged is captured first in an immutable archive bundle under
+``remove`` and ``distrust`` both purge through ``_purge``. Everything
+purged is captured first in an immutable archive bundle under
 ``archive/<bundle_id>/``: a manifest plus one file per record, carrying
 the exact canonical bytes from the log so signatures still verify years
 later. The bundle is fully written and fsynced before the single status
 event commits, so a crash in between leaves the ledger untouched.
+``verify.read_bundle`` reads bundles back, for ``validate`` too.
 
 Purged recipe hashes are barred forever: re-registering or building
 byte-identical content fails, while edited content (a different hash) is
@@ -20,26 +22,24 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from datetime import datetime
 
 from . import clock, crypto
-from .errors import (
-    AlreadyDistrustedError,
-    NotFoundError,
-    PurgedError,
-    TamperError,
-)
+from .errors import AlreadyDistrustedError, NotFoundError, PurgedError
 from .ledger import Ledger
 from .records import (
     ImageRecord,
     LedgerEvent,
     RecipeRecord,
     STATUS_LIVE,
+    STATUS_PURGED,
+    STATUS_TRUSTED,
     canonical_json,
     record_bytes,
 )
-from .verify import MANIFEST_NAME, read_manifest
+from .verify import MANIFEST_NAME, bundle_item_name, read_bundle
 
 
 @dataclass
@@ -54,41 +54,24 @@ class ArchiveBundle:
 
 def _closure(ledger: Ledger, seeds: list[tuple[str, str]]) -> tuple[list[RecipeRecord], list[ImageRecord]]:
     """Live dependent closure of ``(type, id)`` seed nodes, the seeds
-    included.
-
-    Recipes pull in their images; images pull in the child recipes whose
-    signed FROM line names them. Purging an image spares its own recipe.
-    """
-    recipes: dict[str, RecipeRecord] = {}
-    images: dict[str, ImageRecord] = {}
+    included. Recipes pull in their images; an image pulls in only the
+    child recipes whose signed FROM line names it, never its own recipe."""
+    found: dict[str, dict] = {"recipe": {}, "image": {}}
     frontier = list(seeds)
     while frontier:
         node_type, node_id = frontier.pop()
+        if node_id in found[node_type]:
+            continue
+        record = (ledger.recipes if node_type == "recipe" else ledger.images)[node_id]
+        if record.status != STATUS_LIVE:
+            continue
+        found[node_type][node_id] = record
         if node_type == "recipe":
-            if node_id in recipes:
-                continue
-            rec = ledger.recipes[node_id]
-            if rec.status != STATUS_LIVE:
-                continue
-            recipes[node_id] = rec
-            for img in ledger.images_of(node_id):
-                frontier.append(("image", img.image_id))
+            frontier += [("image", img.image_id) for img in ledger.images_of(node_id)]
         else:
-            if node_id in images:
-                continue
-            img = ledger.images[node_id]
-            if img.status != STATUS_LIVE:
-                continue
-            images[node_id] = img
-            for child in ledger.child_recipes_of_image(node_id):
-                frontier.append(("recipe", child.recipe_hash))
-    recipe_list = sorted(recipes.values(), key=lambda r: r.recipe_hash)
-    image_list = sorted(images.values(), key=lambda i: i.image_id)
-    return recipe_list, image_list
-
-
-def _item_name(item_type: str, item_id: str) -> str:
-    return f"{item_type}-{item_id}.json"
+            frontier += [("recipe", c.recipe_hash) for c in ledger.child_recipes_of_image(node_id)]
+    recipes, images = found["recipe"], found["image"]
+    return [recipes[h] for h in sorted(recipes)], [images[i] for i in sorted(images)]
 
 
 def _write_bundle(
@@ -98,45 +81,28 @@ def _write_bundle(
     images: list[ImageRecord],
     created_at: datetime,
 ) -> str:
-    """Write an archive bundle and return its id.
-
-    The bundle id is the digest of the manifest body (everything except
-    the bundle_id key itself), so any later edit to the manifest or to an
-    archived record is detectable.
-    """
-    import shutil
-
+    """Write an archive bundle and return its id: the digest of the
+    manifest without its bundle_id key, so any later edit to the manifest
+    or to an archived record is detectable."""
     items = []
     payloads: dict[str, bytes] = {}
-    for rec in recipes:
-        payload = record_bytes(rec)
-        name = _item_name("recipe", rec.recipe_hash)
-        payloads[name] = payload
-        items.append({"type": "recipe", "id": rec.recipe_hash, "digest": crypto.digest(payload)})
-    for img in images:
-        payload = record_bytes(img)
-        name = _item_name("image", img.image_id)
-        payloads[name] = payload
-        items.append({"type": "image", "id": img.image_id, "digest": crypto.digest(payload)})
+    for item_type, item_id, record in [
+        *(("recipe", r.recipe_hash, r) for r in recipes),
+        *(("image", i.image_id, i) for i in images),
+    ]:
+        payload = payloads[bundle_item_name(item_type, item_id)] = record_bytes(record)
+        items.append({"type": item_type, "id": item_id, "digest": crypto.digest(payload)})
     items.sort(key=lambda i: (i["type"], i["id"]))
-    body = {
-        "created_at": clock.iso(created_at),
-        "reason": reason,
-        "items": items,
-    }
+    body = {"created_at": clock.iso(created_at), "reason": reason, "items": items}
     bundle_id = crypto.digest(canonical_json(body))
-    manifest = dict(body)
-    manifest["bundle_id"] = bundle_id
+    manifest = {**body, "bundle_id": bundle_id}
+    payloads[MANIFEST_NAME] = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
 
     tmp_dir = ledger.archive_root / f".tmp-{bundle_id}"
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
+    shutil.rmtree(tmp_dir, ignore_errors=True)
     tmp_dir.mkdir(parents=True)
     for name, payload in payloads.items():
         (tmp_dir / name).write_bytes(payload)
-    (tmp_dir / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
     if ledger.sync:
         for path in tmp_dir.iterdir():
             _fsync_path(path)
@@ -160,6 +126,31 @@ def _fsync_path(path) -> None:
         os.close(fd)
 
 
+def _purge(
+    ledger: Ledger, seeds: list[tuple[str, str]], event: str, reason: str, data: dict
+) -> ArchiveBundle:
+    """Archive the live closure of ``seeds``, then commit its purge as one
+    ``event`` carrying ``data``, and read the bundle back. The caller holds
+    the writer lock."""
+    recipes, images = _closure(ledger, seeds)
+    created_at = clock.now_utc()
+    bundle_id = _write_bundle(ledger, reason, recipes, images, created_at)
+    ledger.append(
+        LedgerEvent(
+            event=event,
+            at=created_at,
+            data={
+                **data,
+                "reason": reason,
+                "bundle_id": bundle_id,
+                "purged_recipes": [r.recipe_hash for r in recipes],
+                "purged_images": [i.image_id for i in images],
+            },
+        )
+    )
+    return open_archive(ledger, bundle_id)
+
+
 def remove(ledger: Ledger, node: str, reason: str) -> ArchiveBundle:
     """Purge a node and its full dependent closure in one atomic event."""
     with ledger.exclusive():
@@ -167,24 +158,8 @@ def remove(ledger: Ledger, node: str, reason: str) -> ArchiveBundle:
         node_id = record.recipe_hash if node_type == "recipe" else record.image_id  # type: ignore[union-attr]
         if record.status != STATUS_LIVE:  # type: ignore[union-attr]
             raise PurgedError(f"node already purged: {node_id}")
-        recipes, images = _closure(ledger, [(node_type, node_id)])
-        created_at = clock.now_utc()
-        bundle_id = _write_bundle(ledger, reason, recipes, images, created_at)
-        ledger.append(
-            LedgerEvent(
-                event="remove",
-                at=created_at,
-                data={
-                    "target_type": node_type,
-                    "target": node_id,
-                    "reason": reason,
-                    "bundle_id": bundle_id,
-                    "purged_recipes": [r.recipe_hash for r in recipes],
-                    "purged_images": [i.image_id for i in images],
-                },
-            )
-        )
-        return open_archive(ledger, bundle_id)
+        data = {"target_type": node_type, "target": node_id}
+        return _purge(ledger, [(node_type, node_id)], "remove", reason, data)
 
 
 def distrust(ledger: Ledger, entity_id: str, reason: str) -> ArchiveBundle:
@@ -194,28 +169,12 @@ def distrust(ledger: Ledger, entity_id: str, reason: str) -> ArchiveBundle:
         entity = ledger.entities.get(entity_id)
         if entity is None:
             raise NotFoundError(f"unknown entity: {entity_id}")
-        if entity.status != "trusted":
+        if entity.status != STATUS_TRUSTED:
             raise AlreadyDistrustedError(f"entity already distrusted: {entity_id}")
         live = {"status": STATUS_LIVE, "signer": entity_id}
         seeds = [("recipe", r.recipe_hash) for r in ledger.list_recipes(**live)]
         seeds += [("image", i.image_id) for i in ledger.list_images(**live)]
-        recipes, images = _closure(ledger, seeds)
-        created_at = clock.now_utc()
-        bundle_id = _write_bundle(ledger, reason, recipes, images, created_at)
-        ledger.append(
-            LedgerEvent(
-                event="distrust",
-                at=created_at,
-                data={
-                    "entity_id": entity_id,
-                    "reason": reason,
-                    "bundle_id": bundle_id,
-                    "purged_recipes": [r.recipe_hash for r in recipes],
-                    "purged_images": [i.image_id for i in images],
-                },
-            )
-        )
-        return open_archive(ledger, bundle_id)
+        return _purge(ledger, seeds, "distrust", reason, {"entity_id": entity_id})
 
 
 def list_archives(ledger: Ledger) -> list[dict]:
@@ -224,29 +183,18 @@ def list_archives(ledger: Ledger) -> list[dict]:
 
 
 def open_archive(ledger: Ledger, bundle_id: str) -> ArchiveBundle:
-    """Load a bundle and verify its integrity against the manifest."""
-    bundle_dir = ledger.archive_root / bundle_id
-    manifest = read_manifest(ledger.archive_root, bundle_id)
+    """Load a bundle through ``verify.read_bundle``, which raises unless
+    every file is intact; the records come back marked purged."""
+    manifest, payloads = read_bundle(ledger.archive_root, bundle_id)
     bundle = ArchiveBundle(
         bundle_id=bundle_id,
         created_at=clock.parse_iso(manifest["created_at"]),
         reason=manifest["reason"],
         manifest=manifest,
     )
-    for item in manifest["items"]:
-        payload_path = bundle_dir / _item_name(item["type"], item["id"])
-        if not payload_path.is_file():
-            raise TamperError(f"bundle item missing: {payload_path.name}")
-        payload = payload_path.read_bytes()
-        if crypto.digest(payload) != item["digest"]:
-            raise TamperError(f"bundle item digest mismatch: {payload_path.name}")
-        data = json.loads(payload)
-        if item["type"] == "recipe":
-            record = RecipeRecord.from_record_dict(data)
-            record.status = "purged"
-            bundle.removed_recipes.append(record)
-        else:
-            image = ImageRecord.from_record_dict(data)
-            image.status = "purged"
-            bundle.removed_images.append(image)
+    for item, payload in zip(manifest["items"], payloads):
+        is_recipe = item["type"] == "recipe"
+        record = (RecipeRecord if is_recipe else ImageRecord).from_record_dict(json.loads(payload))
+        record.status = STATUS_PURGED
+        (bundle.removed_recipes if is_recipe else bundle.removed_images).append(record)
     return bundle

@@ -1,5 +1,5 @@
-"""Record verification: the one place that decides whether an entity,
-recipe or image record is valid.
+"""Record and bundle verification: the one place that decides whether an
+entity, recipe or image record, or an archive bundle, is valid.
 
 ``record_entries`` runs every per-record check on one record and returns
 one :class:`ValidationEntry` per check; ``Ledger.validate_all`` reports
@@ -11,6 +11,9 @@ admission asks for: the record is live, and its signer is trusted now.
 A recipe's ``kind`` and ``parent_image_id`` are not covered by its
 signature, so the ``kind-parent`` check compares them with what replay
 derived from the signed ``FROM`` line (``Ledger.link``).
+
+``read_bundle`` is the one reader of an archive bundle, for ``validate``
+and ``revocation.open_archive`` alike.
 
 Only the Ed25519 result is remembered: ``Ledger.verify`` keeps it per
 handle under the exact signed bytes, signature and key, and every other
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import crypto
+from . import clock, crypto
 from .errors import NotFoundError, SpockError, TamperError
 from .records import (
     ImageId,
@@ -42,6 +45,8 @@ if TYPE_CHECKING:
     from .ledger import Ledger
 
 MANIFEST_NAME = "manifest.json"
+_MANIFEST_KEYS = {"bundle_id", "created_at", "reason", "items"}
+_ITEM_KEYS = {"type", "id", "digest"}
 
 PURGED = "purged"
 MISSING = "missing"
@@ -140,21 +145,55 @@ def record_problems(ledger: Ledger, record: RecipeRecord | ImageRecord) -> list[
     return [Problem(code, refs.get(code, ref)) for code in _ORDER if code in codes]
 
 
-def read_manifest(archive_root: Path, bundle_id: str) -> dict:
-    """A bundle's manifest, checked against the id it is filed under.
-    Raises NotFoundError when it is absent and TamperError when it is
-    unreadable or its body does not digest to the id."""
-    path = archive_root / bundle_id / MANIFEST_NAME
+def bundle_item_name(item_type: str, item_id: str) -> str:
+    return f"{item_type}-{item_id}.json"
+
+
+def read_bundle(archive_root: Path, bundle_id: str) -> tuple[dict, list[bytes]]:
+    """A bundle's manifest and its items' bytes, in manifest order. Raises
+    NotFoundError when the manifest is absent, and TamperError when it is
+    unreadable, malformed or does not digest to the id, or when an item is
+    missing or does not digest to its entry."""
+    bundle_dir = archive_root / bundle_id
+    path = bundle_dir / MANIFEST_NAME
     if not path.is_file():
         raise NotFoundError(f"unknown archive bundle: {bundle_id}")
     try:
         manifest = json.loads(path.read_text())
     except ValueError as exc:
         raise TamperError(f"bundle manifest unreadable: {exc}") from exc
+    if not _well_formed(manifest):
+        raise TamperError(f"bundle manifest malformed: {bundle_id}")
     body = {k: v for k, v in manifest.items() if k != "bundle_id"}
-    if crypto.digest(canonical_json(body)) != bundle_id or manifest.get("bundle_id") != bundle_id:
+    if crypto.digest(canonical_json(body)) != bundle_id or manifest["bundle_id"] != bundle_id:
         raise TamperError(f"bundle manifest does not match its id: {bundle_id}")
-    return manifest
+    payloads = []
+    for item in manifest["items"]:
+        path = bundle_dir / bundle_item_name(item["type"], item["id"])
+        if not path.is_file():
+            raise TamperError(f"bundle item missing: {path.name}")
+        payload = path.read_bytes()
+        if crypto.digest(payload) != item["digest"]:
+            raise TamperError(f"bundle item digest mismatch: {path.name}")
+        payloads.append(payload)
+    return manifest, payloads
+
+
+def _well_formed(manifest) -> bool:
+    """Whether a manifest has exactly the keys and item entries that
+    ``_write_bundle`` writes, so nothing that reads it can fail on them."""
+    if not isinstance(manifest, dict) or set(manifest) != _MANIFEST_KEYS:
+        return False
+    try:
+        clock.parse_iso(manifest["created_at"])
+    except (TypeError, ValueError):
+        return False
+    items = manifest["items"]
+    return isinstance(manifest["reason"], str) and isinstance(items, list) and all(
+        isinstance(item, dict) and set(item) == _ITEM_KEYS and item["type"] in ("recipe", "image")
+        and isinstance(item["id"], str) and "/" not in item["id"]
+        for item in items
+    )
 
 
 def _entity_checks(ledger: Ledger, entity: TrustedEntity, digest_ok: bool):

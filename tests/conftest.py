@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 import spock.clock
 from spock import Ledger, MockEngine, builder, crypto, recipe
+from spock.records import LedgerEvent, canonical_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -118,3 +120,37 @@ def register_and_build(ledger, text, signer, private, seed="0"):
     rec = recipe.register_root(ledger, text, signer, private)
     image = builder.build(ledger, rec.recipe_hash, MockEngine(seed=seed), signer, private)
     return rec, image
+
+
+# Manifests that digest to the id they are filed under but are not shaped
+# as spock writes them; each must read as tampered, never crash a reader.
+MALFORMED_MANIFESTS = {
+    "not-an-object": ["created_at", "reason", "items"],
+    "items-not-a-list": {"created_at": "2026-01-02T03:04:05Z", "reason": "r", "items": "x"},
+    "item-missing-digest": {
+        "created_at": "2026-01-02T03:04:05Z", "reason": "r", "items": [{"type": "recipe", "id": "a"}],
+    },
+    "item-unknown-type": {
+        "created_at": "2026-01-02T03:04:05Z", "reason": "r",
+        "items": [{"type": "script", "id": "a", "digest": "d"}],
+    },
+    "item-name-with-slash": {
+        "created_at": "2026-01-02T03:04:05Z", "reason": "r",
+        "items": [{"type": "recipe", "id": "../../ledger", "digest": "d"}],
+    },
+    "bad-created-at": {"created_at": "yesterday", "reason": "r", "items": []},
+}
+
+
+def file_crafted_bundle(ledger: Ledger, body) -> str:
+    """File ``body`` as a bundle manifest under the id it digests to, and
+    append a remove event that names it; returns the bundle id."""
+    bundle_id = crypto.digest(canonical_json(body))
+    manifest = {**body, "bundle_id": bundle_id} if isinstance(body, dict) else body
+    (ledger.archive_root / bundle_id).mkdir(parents=True)
+    (ledger.archive_root / bundle_id / "manifest.json").write_text(json.dumps(manifest))
+    data = {"target_type": "recipe", "target": "crafted", "reason": "r", "bundle_id": bundle_id,
+            "purged_recipes": [], "purged_images": []}
+    with ledger.exclusive():
+        ledger.append(LedgerEvent(event="remove", at=spock.clock.now_utc(), data=data))
+    return bundle_id

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from spock import cli
-from tests.conftest import ROOT_TEXT, craft_text
+from spock import Ledger, cli
+from tests.conftest import MALFORMED_MANIFESTS, ROOT_TEXT, craft_text, file_crafted_bundle
 
 
 @pytest.fixture
@@ -232,6 +232,29 @@ def test_archives_cli(workspace, capsys):
     out = capsys.readouterr().out
     assert "integrity ok" in out
     assert cli.main(["archives", "show", "f" * 64]) == 3
+
+
+@pytest.mark.parametrize("damage", ["flip-item", "delete-item", "malformed-manifest"])
+def test_damaged_bundle_exits_tamper_from_validate_and_archives_show(workspace, capsys, damage):
+    rec, _ = register_and_build_cli(capsys)
+    code, removal = run_json(capsys, ["remove", rec["recipe_hash"], "--reason", "bad"])
+    assert code == 0
+    ledger = Ledger.open("ledger")
+    bundle_id = removal["bundle_id"]
+    item = ledger.archive_root / bundle_id / f"recipe-{rec['recipe_hash']}.json"
+    if damage == "flip-item":
+        data = bytearray(item.read_bytes())
+        data[10] ^= 0x01
+        item.write_bytes(bytes(data))
+    elif damage == "delete-item":
+        item.unlink()
+    else:
+        bundle_id = file_crafted_bundle(ledger, MALFORMED_MANIFESTS["items-not-a-list"])
+    ledger.close()
+    assert cli.main(["archives", "show", bundle_id]) == 4
+    assert "error: TAMPER: bundle" in capsys.readouterr().err
+    assert cli.main(["validate"]) == 4
+    assert "bundle-manifest: bundle" in capsys.readouterr().out
 
 
 def test_trust_distrust_cli(workspace, capsys):

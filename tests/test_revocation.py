@@ -18,7 +18,13 @@ from spock.errors import (
     UntrustedSignerError,
 )
 from spock.records import LedgerEvent
-from tests.conftest import ROOT_TEXT, craft_text, register_and_build
+from tests.conftest import (
+    MALFORMED_MANIFESTS,
+    ROOT_TEXT,
+    craft_text,
+    file_crafted_bundle,
+    register_and_build,
+)
 
 
 def live_sets(ledger):
@@ -266,6 +272,56 @@ def test_validate_detects_missing_bundle(fig_tree):
     assert any(e.check == "bundle-present" and not e.ok for e in report.entries)
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_reads_as_tampered(fig_tree, case):
+    ledger = fig_tree["ledger"]
+    bundle_id = file_crafted_bundle(ledger, MALFORMED_MANIFESTS[case])
+    with pytest.raises(TamperError, match="malformed"):
+        revocation.open_archive(ledger, bundle_id)
+    failures = ledger.validate_all().failures()
+    event_ref = f"event:remove:{len(ledger.events) - 1}"
+    assert [(f.ref, f.check) for f in failures] == [(event_ref, "bundle-manifest")]
+    assert "malformed" in failures[0].detail
+
+
+def test_validate_and_open_archive_agree_on_damaged_bundles(tmp_path, keypair):
+    """One byte flipped in one bundle file, or one item file deleted:
+    ``validate`` fails ``bundle-manifest`` for exactly that purge event
+    if and only if ``open_archive`` reads the bundle as tampered."""
+    rng = random.Random(1999)
+    damaged = 0
+    for trial in range(60):
+        ledger = _random_forest(tmp_path, rng, trial, keypair)
+        if trial % 2:
+            bundle = revocation.distrust(ledger, "alice", "trial")
+        else:
+            live = sorted(h for h, r in ledger.recipes.items() if r.status == "live")
+            bundle = revocation.remove(ledger, rng.choice(live), "trial")
+        files = sorted((ledger.archive_root / bundle.bundle_id).iterdir())
+        items = [f for f in files if f.name != "manifest.json"]
+        if trial % 3 == 2:
+            rng.choice(items).unlink()
+        else:
+            victim = rng.choice(files)
+            data = bytearray(victim.read_bytes())
+            data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+            victim.write_bytes(bytes(data))
+
+        try:
+            revocation.open_archive(ledger, bundle.bundle_id)
+            tampered = False
+        except TamperError:
+            tampered = True
+        event_ref = f"event:{ledger.events[-1].event}:{len(ledger.events) - 1}"
+        failures = [(f.ref, f.check) for f in ledger.validate_all().failures()]
+        assert failures == ([(event_ref, "bundle-manifest")] if tampered else [])
+        damaged += tampered
+        ledger.close()
+    # a flip can leave the manifest's parsed content unchanged (say, one
+    # blank turned into another), but most damage must show
+    assert damaged >= 50
+
+
 # ----------------------------------------------------------------------
 # closure correctness against the independent oracle
 
@@ -324,21 +380,25 @@ def test_remove_closure_matches_oracle_on_random_forests(tmp_path, keypair):
 # atomicity under crash injection
 
 
-def test_crash_between_bundle_write_and_commit_recovers_pre_remove(fig_tree, monkeypatch):
+@pytest.mark.parametrize("op", ["remove", "distrust"])
+def test_crash_between_bundle_write_and_commit_recovers_pre_remove(fig_tree, monkeypatch, op):
     ledger = fig_tree["ledger"]
     recipes_before, images_before = live_sets(ledger)
     raw_before = ledger.log_path.read_bytes()
+    # both purge the whole fig tree: the root's closure, or its signer's
+    purge = getattr(revocation, op)
+    target = fig_tree["root"].recipe_hash if op == "remove" else fig_tree["signer"]
 
     real_append = Ledger.append
 
     def crashing_append(self, record):
-        if isinstance(record, LedgerEvent) and record.event == "remove":
+        if isinstance(record, LedgerEvent) and record.event == op:
             raise SpockError("injected crash before status commit")
         return real_append(self, record)
 
     monkeypatch.setattr(Ledger, "append", crashing_append)
     with pytest.raises(SpockError):
-        revocation.remove(ledger, fig_tree["root"].recipe_hash, "crash test")
+        purge(ledger, target, "crash test")
     monkeypatch.setattr(Ledger, "append", real_append)
 
     # bundle directory may exist as an orphan, but the ledger recovered
@@ -346,11 +406,12 @@ def test_crash_between_bundle_write_and_commit_recovers_pre_remove(fig_tree, mon
     assert ledger.log_path.read_bytes() == raw_before
     reopened = Ledger.open(ledger.root)
     assert live_sets(reopened) == (recipes_before, images_before)
+    assert reopened.get_entity(fig_tree["signer"]).status == "trusted"
     assert reopened.validate_all().ok
     assert revocation.list_archives(reopened) == []
 
-    # and the same remove can then run to completion
-    bundle = revocation.remove(reopened, fig_tree["root"].recipe_hash, "crash test")
+    # and the same purge can then run to completion
+    bundle = purge(reopened, target, "crash test")
     assert live_sets(reopened) == (set(), set())
     assert {r.recipe_hash for r in bundle.removed_recipes} == recipes_before
 
@@ -369,8 +430,11 @@ def test_crash_torn_event_line_recovers_pre_remove(fig_tree):
     assert reopened.validate_all().ok
 
 
-def test_remove_syncs_bundle_and_archive_directories_before_commit(fig_tree, monkeypatch):
+@pytest.mark.parametrize("op", ["remove", "distrust"])
+def test_remove_syncs_bundle_and_archive_directories_before_commit(fig_tree, monkeypatch, op):
     ledger = fig_tree["ledger"]
+    purge = getattr(revocation, op)
+    target = fig_tree["leaf"].recipe_hash if op == "remove" else fig_tree["signer"]
     ledger.sync = True
     opened: dict[int, Path] = {}
     trail: list[object] = []
@@ -392,7 +456,7 @@ def test_remove_syncs_bundle_and_archive_directories_before_commit(fig_tree, mon
     monkeypatch.setattr(os, "open", recording_open)
     monkeypatch.setattr(os, "fsync", recording_fsync)
     monkeypatch.setattr(Ledger, "append", recording_append)
-    bundle = revocation.remove(ledger, fig_tree["leaf"].recipe_hash, "sync test")
+    bundle = purge(ledger, target, "sync test")
 
     commit = trail.index("append")
     synced = trail[:commit]
