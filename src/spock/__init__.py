@@ -25,7 +25,6 @@ from .crypto import (
     encode_text,
     keygen,
     sign,
-    verify,
 )
 from .errors import (
     AlreadyDistrustedError,
@@ -136,5 +135,4 @@ __all__ = [
     "short_labels",
     "show_content",
     "sign",
-    "verify",
 ]

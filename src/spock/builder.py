@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 from . import crypto
@@ -249,21 +250,14 @@ def diff_rebuild(ledger: Ledger, image_id: str, engine) -> DiffReport:
     parent = ledger.images.get(ledger.parent_of(image.recipe_hash))
     parent_digest = None if parent is None else parent.image_digest
     result = engine.build(parsed, parent_digest, tag=f"{QUARANTINE_NAMESPACE}/{image_id.lower()}")
-    diffs = []
-    trusted = image.step_digests
-    rebuilt = result.step_digests
-    for i in range(max(len(trusted), len(rebuilt))):
-        t = trusted[i] if i < len(trusted) else None
-        r = rebuilt[i] if i < len(rebuilt) else None
-        if t is None:
-            continue  # no trusted step digest recorded: nothing to compare
-        if t != r:
-            diffs.append(StepDiff(index=i, trusted=t, rebuilt=r))
+    steps = enumerate(zip_longest(image.step_digests, result.step_digests))
+    # a step with no trusted digest recorded has nothing to compare
+    diffs = tuple(StepDiff(index=i, trusted=t, rebuilt=r) for i, (t, r) in steps if t is not None and t != r)
     report = DiffReport(
         target_image_id=image_id,
         rebuilt_digest=result.image_digest,
         digest_match=result.image_digest == image.image_digest,
-        step_diffs=tuple(diffs),
+        step_diffs=diffs,
     )
     with ledger.exclusive():
         ledger.append(

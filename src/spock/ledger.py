@@ -69,7 +69,7 @@ from .records import (
     canonical_json,
     load_record,
 )
-from .verify import ValidationEntry, ValidationReport, read_bundle, record_entries, record_ref
+from .verify import ValidationEntry, ValidationReport, check_write, read_bundle, record_entries, record_ref
 
 LOG_NAME = "ledger.log"
 AUDIT_NAME = "audit.log"
@@ -300,7 +300,6 @@ class Ledger:
         self.recipes: dict[str, RecipeRecord] = {}
         self.images: dict[str, ImageRecord] = {}
         self.events: list[LedgerEvent] = []
-        self.archives: dict[str, dict] = {}
         self.meta: MetaRecord | None = None
         self.issues: list[ValidationEntry] = []
         self._images_by_recipe: dict[str, list[str]] = {}
@@ -353,40 +352,26 @@ class Ledger:
                 self._apply_purge_event(record)
 
     def _apply_purge_event(self, event: LedgerEvent) -> None:
-        for recipe_hash in event.data.get("purged_recipes", []):
-            rec = self.recipes.get(recipe_hash)
-            if rec is not None:
-                rec.status = STATUS_PURGED
-            else:
-                self._flag(f"event:{event.event}", "referential", f"purge of unknown recipe {recipe_hash}")
-        for image_id in event.data.get("purged_images", []):
-            img = self.images.get(image_id)
-            if img is not None:
-                img.status = STATUS_PURGED
-            else:
-                self._flag(f"event:{event.event}", "referential", f"purge of unknown image {image_id}")
+        for noun, table in (("recipe", self.recipes), ("image", self.images)):
+            for node_id in event.data.get(f"purged_{noun}s", []):
+                if node_id in table:
+                    table[node_id].status = STATUS_PURGED
+                else:
+                    self._flag(f"event:{event.event}", "referential", f"purge of unknown {noun} {node_id}")
         if event.event == "distrust":
             entity = self.entities.get(event.data.get("entity_id", ""))
             if entity is not None:
                 entity.status = STATUS_DISTRUSTED
-        bundle_id = event.data.get("bundle_id")
-        if bundle_id:
-            self.archives[bundle_id] = {
-                "bundle_id": bundle_id,
-                "created_at": clock.iso(event.at),
-                "reason": event.data.get("reason", ""),
-                "event": event.event,
-                "recipes": len(event.data.get("purged_recipes", [])),
-                "images": len(event.data.get("purged_images", [])),
-            }
 
     # ------------------------------------------------------------------
     # appending
 
     def append(self, record) -> str:
-        """Append one record under the held writer lock and apply it."""
+        """Append one record under the held writer lock and apply it, if
+        ``verify.check_write`` admits it: the one write rule."""
         if not self._lock_depth:
             raise SpockError("append requires the writer lock")
+        check_write(self, record)
         rec_digest, length = append_line(self.log_path, record, self.sync)
         self._offset += length
         self._line_no += 1
@@ -440,7 +425,8 @@ class Ledger:
                 "live": sum(1 for i in self.images.values() if i.status == STATUS_LIVE),
                 "purged": sum(1 for i in self.images.values() if i.status == STATUS_PURGED),
             },
-            "archives": len(self.archives),
+            "archives": len({b for e in self.events if e.event in ("remove", "distrust")
+                             and (b := e.data.get("bundle_id"))}),
         }
         try:
             (self.root / INDEX_DIR / "summary.json").write_text(
@@ -467,28 +453,15 @@ class Ledger:
 
     def put_recipe(self, record: RecipeRecord) -> RecipeRecord:
         with self.exclusive():
-            if record.signer_id not in self.entities:
-                raise IntegrityError(f"unknown signer: {record.signer_id}")
             if record.recipe_hash in self.recipes:
                 raise AlreadyRegisteredError(
                     f"recipe already recorded: {record.recipe_hash}"
                 )
-            if signed_link(record.content) != (record.kind, record.parent_image_id):
-                raise IntegrityError("kind or parent differs from the signed FROM line")
-            if record.parent_image_id is not None and record.parent_image_id not in self.images:
-                raise IntegrityError(f"unknown parent image: {record.parent_image_id}")
             self.append(record)
         return record
 
     def put_image(self, record: ImageRecord) -> ImageRecord:
         with self.exclusive():
-            if record.signer_id not in self.entities:
-                raise IntegrityError(f"unknown signer: {record.signer_id}")
-            recipe = self.recipes.get(record.recipe_hash)
-            if recipe is None:
-                raise IntegrityError(f"unknown recipe: {record.recipe_hash}")
-            if record.parent_image_id != self.parent_of(record.recipe_hash):
-                raise IntegrityError("image parent does not mirror its recipe's parent")
             if record.image_id in self.images:
                 raise IntegrityError(f"duplicate image id: {record.image_id}")
             live = self.live_image_for(record.recipe_hash)
@@ -527,24 +500,16 @@ class Ledger:
         image-id prefixes, so the short labels printed by lineage and tree
         output always resolve.
         """
-        if token in self.recipes:
-            return "recipe", self.recipes[token]
-        if token in self.images:
-            return "image", self.images[token]
-        recipe_matches = [h for h in self.recipes if h.startswith(token)]
-        if len(recipe_matches) == 1:
-            return "recipe", self.recipes[recipe_matches[0]]
-        if len(recipe_matches) > 1:
-            raise AmbiguousNodeError(
-                f"ambiguous node {token!r}: matches {len(recipe_matches)} recipes"
-            )
-        image_matches = [i for i in self.images if i.startswith(token)]
-        if len(image_matches) == 1:
-            return "image", self.images[image_matches[0]]
-        if len(image_matches) > 1:
-            raise AmbiguousNodeError(
-                f"ambiguous node {token!r}: matches {len(image_matches)} images"
-            )
+        tables = (("recipe", self.recipes), ("image", self.images))
+        for noun, table in tables:
+            if token in table:
+                return noun, table[token]
+        for noun, table in tables:
+            matches = [key for key in table if key.startswith(token)]
+            if len(matches) == 1:
+                return noun, table[matches[0]]
+            if matches:
+                raise AmbiguousNodeError(f"ambiguous node {token!r}: matches {len(matches)} {noun}s")
         raise NotFoundError(f"unknown node: {token}")
 
     def list_entities(self) -> list[TrustedEntity]:
@@ -647,8 +612,11 @@ class Ledger:
             ref = f"event:{event.event}:{i}"
             bundle_id = event.data.get("bundle_id", "")
             bundle_ok, detail = True, ""
+            purged = {(noun, i) for noun in ("recipe", "image") for i in event.data.get(f"purged_{noun}s", [])}
             try:
-                read_bundle(self.archive_root, bundle_id)
+                manifest = read_bundle(self.archive_root, bundle_id)[0]
+                if {(item["type"], item["id"]) for item in manifest["items"]} != purged:
+                    raise TamperError(f"bundle items differ from the event's purge lists: {bundle_id}")
             except NotFoundError:
                 add(ValidationEntry(ref, "bundle-present", False, f"missing bundle {bundle_id}"))
                 continue

@@ -39,7 +39,7 @@ from .records import (
     canonical_json,
     record_bytes,
 )
-from .verify import MANIFEST_NAME, bundle_item_name, read_bundle
+from .verify import MANIFEST_NAME, bundle_item_name, check_write, read_bundle
 
 
 @dataclass
@@ -132,6 +132,7 @@ def _purge(
     """Archive the live closure of ``seeds``, then commit its purge as one
     ``event`` carrying ``data``, and read the bundle back. The caller holds
     the writer lock."""
+    check_write(ledger)  # before the bundle, so a refused purge leaves archive/ as it was
     recipes, images = _closure(ledger, seeds)
     created_at = clock.now_utc()
     bundle_id = _write_bundle(ledger, reason, recipes, images, created_at)
@@ -178,23 +179,31 @@ def distrust(ledger: Ledger, entity_id: str, reason: str) -> ArchiveBundle:
 
 
 def list_archives(ledger: Ledger) -> list[dict]:
-    """Bundle summaries from the audit history, oldest first."""
-    return list(ledger.archives.values())
+    """Bundle summaries from the purge events, oldest first; a bundle id
+    named twice keeps its first place and takes its last event's summary."""
+    archives: dict[str, dict] = {}
+    for event in ledger.events:
+        data = event.data
+        if event.event in ("remove", "distrust") and data.get("bundle_id"):
+            archives[data["bundle_id"]] = {
+                "bundle_id": data["bundle_id"], "created_at": clock.iso(event.at),
+                "reason": data.get("reason", ""), "event": event.event,
+                "recipes": len(data.get("purged_recipes", [])), "images": len(data.get("purged_images", [])),
+            }
+    return list(archives.values())
 
 
 def open_archive(ledger: Ledger, bundle_id: str) -> ArchiveBundle:
     """Load a bundle through ``verify.read_bundle``, which raises unless
     every file is intact; the records come back marked purged."""
-    manifest, payloads = read_bundle(ledger.archive_root, bundle_id)
+    manifest, records = read_bundle(ledger.archive_root, bundle_id)
     bundle = ArchiveBundle(
         bundle_id=bundle_id,
         created_at=clock.parse_iso(manifest["created_at"]),
         reason=manifest["reason"],
         manifest=manifest,
     )
-    for item, payload in zip(manifest["items"], payloads):
-        is_recipe = item["type"] == "recipe"
-        record = (RecipeRecord if is_recipe else ImageRecord).from_record_dict(json.loads(payload))
+    for record in records:
         record.status = STATUS_PURGED
-        (bundle.removed_recipes if is_recipe else bundle.removed_images).append(record)
+        (bundle.removed_recipes if isinstance(record, RecipeRecord) else bundle.removed_images).append(record)
     return bundle

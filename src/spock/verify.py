@@ -7,13 +7,15 @@ them for every record. ``record_problems`` turns the failing checks of a
 recipe or image into admission problems for
 ``provenance.lineage_problems``, and adds the two predicates only
 admission asks for: the record is live, and its signer is trusted now.
+``check_write`` runs the same checks on a record before
+``Ledger.append`` writes it, so nothing spock writes fails ``validate``.
 
 A recipe's ``kind`` and ``parent_image_id`` are not covered by its
-signature, so the ``kind-parent`` check compares them with what replay
-derived from the signed ``FROM`` line (``Ledger.link``).
+signature, so the ``kind-parent`` check compares them with what the
+signed ``FROM`` line gives, as replay keeps it in ``Ledger.link``.
 
 ``read_bundle`` is the one reader of an archive bundle, for ``validate``
-and ``revocation.open_archive`` alike.
+and ``revocation.open_archive`` alike; it returns the archived records.
 
 Only the Ed25519 result is remembered: ``Ledger.verify`` keeps it per
 handle under the exact signed bytes, signature and key, and every other
@@ -28,7 +30,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import clock, crypto
-from .errors import NotFoundError, SpockError, TamperError
+from .errors import IntegrityError, NotFoundError, SignatureInvalidError, SpockError, TamperError
+from .recipe import signed_link
 from .records import (
     ImageId,
     ImageRecord,
@@ -39,6 +42,7 @@ from .records import (
     STATUS_TRUSTED,
     TrustedEntity,
     canonical_json,
+    load_record,
 )
 
 if TYPE_CHECKING:
@@ -60,6 +64,8 @@ TAMPER_CHECKS = ("parse", "record-digest", "duplicate")
 _ORDER = (PURGED, MISSING, UNTRUSTED_SIGNER, SIGNATURE_INVALID)
 # a failing check not listed here means the record cannot be believed
 _CHECK_CODES = {"signer-known": MISSING, "signer-trusted": UNTRUSTED_SIGNER}
+# which error refuses a write, by the first check it fails (else IntegrityError)
+_WRITE_ERRORS = {"signature": SignatureInvalidError, "content-hash": SignatureInvalidError}
 
 
 @dataclass
@@ -145,15 +151,30 @@ def record_problems(ledger: Ledger, record: RecipeRecord | ImageRecord) -> list[
     return [Problem(code, refs.get(code, ref)) for code in _ORDER if code in codes]
 
 
+def check_write(ledger: Ledger, record=None) -> None:
+    """The write rule: raise TamperError when replay found ``ledger.log``
+    altered, and otherwise unless an entity, recipe or image ``record``
+    passes every check ``validate`` would make of it in ``ledger``."""
+    altered = [i.ref for i in ledger.issues if i.check in TAMPER_CHECKS]
+    if altered:
+        raise TamperError(f"ledger.log was altered ({altered[0]}); restore it before writing")
+    checks = _CHECKS.get(type(record))
+    for check, ok, detail in checks(ledger, record, False) if checks else ():
+        if not ok:
+            error = _WRITE_ERRORS.get(check, IntegrityError)
+            raise error(f"{record_ref(record)} fails {check}" + (f": {detail}" if detail else ""))
+
+
 def bundle_item_name(item_type: str, item_id: str) -> str:
     return f"{item_type}-{item_id}.json"
 
 
-def read_bundle(archive_root: Path, bundle_id: str) -> tuple[dict, list[bytes]]:
-    """A bundle's manifest and its items' bytes, in manifest order. Raises
-    NotFoundError when the manifest is absent, and TamperError when it is
-    unreadable, malformed or does not digest to the id, or when an item is
-    missing or does not digest to its entry."""
+def read_bundle(archive_root: Path, bundle_id: str) -> tuple[dict, list[RecipeRecord | ImageRecord]]:
+    """A bundle's manifest and its archived records, in manifest order.
+    Raises NotFoundError when the manifest is absent, and TamperError when
+    it is unreadable, malformed or does not digest to the id, or when an
+    item is missing, does not digest to its entry, or is not the record
+    of the type and id its entry names."""
     bundle_dir = archive_root / bundle_id
     path = bundle_dir / MANIFEST_NAME
     if not path.is_file():
@@ -167,7 +188,7 @@ def read_bundle(archive_root: Path, bundle_id: str) -> tuple[dict, list[bytes]]:
     body = {k: v for k, v in manifest.items() if k != "bundle_id"}
     if crypto.digest(canonical_json(body)) != bundle_id or manifest["bundle_id"] != bundle_id:
         raise TamperError(f"bundle manifest does not match its id: {bundle_id}")
-    payloads = []
+    records = []
     for item in manifest["items"]:
         path = bundle_dir / bundle_item_name(item["type"], item["id"])
         if not path.is_file():
@@ -175,8 +196,14 @@ def read_bundle(archive_root: Path, bundle_id: str) -> tuple[dict, list[bytes]]:
         payload = path.read_bytes()
         if crypto.digest(payload) != item["digest"]:
             raise TamperError(f"bundle item digest mismatch: {path.name}")
-        payloads.append(payload)
-    return manifest, payloads
+        try:
+            record = load_record(item["type"], json.loads(payload))
+        except Exception as exc:  # any decode failure means the item was forged
+            raise TamperError(f"bundle item is not a record: {path.name}") from exc
+        if record_ref(record) != f"{item['type']}:{item['id']}":
+            raise TamperError(f"bundle item holds another record: {path.name}")
+        records.append(record)
+    return manifest, records
 
 
 def _well_formed(manifest) -> bool:
@@ -208,7 +235,10 @@ def _recipe_checks(ledger: Ledger, rec: RecipeRecord, digest_ok: bool):
         yield "record-digest", True, ""
     content_ok = crypto.digest(rec.content) == rec.recipe_hash
     yield "content-hash", content_ok, "" if content_ok else "recipe hash does not match content"
-    kind_ok = ledger.link(rec.recipe_hash) == (rec.kind, rec.parent_image_id)
+    # replay derived the link of a recipe it applied; one not yet written gives it now
+    applied = ledger.recipes.get(rec.recipe_hash) is rec
+    link = ledger.link(rec.recipe_hash) if applied else signed_link(rec.content)
+    kind_ok = link == (rec.kind, rec.parent_image_id)
     yield "kind-parent", kind_ok, "" if kind_ok else "kind or parent differs from the signed FROM line"
     yield from _signer_checks(ledger, rec, rec.content, "recipe")
     if rec.parent_image_id is not None:

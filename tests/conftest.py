@@ -142,15 +142,21 @@ MALFORMED_MANIFESTS = {
 }
 
 
-def file_crafted_bundle(ledger: Ledger, body) -> str:
-    """File ``body`` as a bundle manifest under the id it digests to, and
-    append a remove event that names it; returns the bundle id."""
+def file_crafted_bundle(ledger: Ledger, body, items=None, purged=()) -> str:
+    """File ``body`` as a bundle manifest under the id it digests to, with
+    ``items`` (file name -> bytes) beside it, and append a remove event
+    that names it and lists the ``(type, id)`` pairs in ``purged``;
+    returns the bundle id."""
     bundle_id = crypto.digest(canonical_json(body))
     manifest = {**body, "bundle_id": bundle_id} if isinstance(body, dict) else body
-    (ledger.archive_root / bundle_id).mkdir(parents=True)
-    (ledger.archive_root / bundle_id / "manifest.json").write_text(json.dumps(manifest))
+    bundle_dir = ledger.archive_root / bundle_id
+    bundle_dir.mkdir(parents=True)
+    (bundle_dir / "manifest.json").write_text(json.dumps(manifest))
+    for name, payload in (items or {}).items():
+        (bundle_dir / name).write_bytes(payload)
     data = {"target_type": "recipe", "target": "crafted", "reason": "r", "bundle_id": bundle_id,
-            "purged_recipes": [], "purged_images": []}
+            "purged_recipes": [i for t, i in purged if t == "recipe"],
+            "purged_images": [i for t, i in purged if t == "image"]}
     with ledger.exclusive():
         ledger.append(LedgerEvent(event="remove", at=spock.clock.now_utc(), data=data))
     return bundle_id

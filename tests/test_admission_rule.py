@@ -1,5 +1,7 @@
 """One admission rule: ``check``, ``child``, ``build`` and ``diff-rebuild``
-refuse exactly the nodes ``provenance.lineage_problems`` denies."""
+refuse exactly the nodes ``provenance.lineage_problems`` denies. And one
+write rule: no write of any kind goes into a log that replay found
+altered."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import random
 import pytest
 
 from spock import Ledger, MockEngine, builder, cli, crypto, recipe, revocation, rungate
-from spock.errors import ParentRejectedError, SignatureInvalidError, SpockError
+from spock.errors import ParentRejectedError, SignatureInvalidError, SpockError, TamperError
 from spock.provenance import lineage_problems
 from tests.conftest import ROOT_TEXT, register_and_build
 from tests.test_revocation import _random_forest
@@ -26,9 +28,15 @@ def _tamper(log_path, index: int, how: str) -> None:
     log_path.write_bytes(b"\n".join(lines))
 
 
+def _snapshot(ledger: Ledger) -> dict:
+    """``ledger.log`` and every file under ``archive/``, by path."""
+    files = [ledger.log_path, *sorted(p for p in ledger.archive_root.rglob("*") if p.is_file())]
+    return {p: p.read_bytes() for p in files}
+
+
 @pytest.mark.parametrize("how", ["flip", "duplicate"])
-def test_tampered_ledger_refuses_child_build_and_diff_rebuild(
-    tmp_path, keypair, monkeypatch, capsys, how
+def test_tampered_ledger_refuses_every_write(
+    tmp_path, keypair, second_keypair, monkeypatch, capsys, how
 ):
     public, private = keypair
     ledger = Ledger.init(tmp_path / "ledger", sync=False)
@@ -36,40 +44,61 @@ def test_tampered_ledger_refuses_child_build_and_diff_rebuild(
     _, image = register_and_build(ledger, ROOT_TEXT, "alice", private)
     recipe.register_root(ledger, "FROM busybox\nRUN echo unrelated\n", "alice", private)
     pending = recipe.register_root(ledger, "FROM debian\nRUN echo pending\n", "alice", private)
+    doomed = recipe.register_root(ledger, "FROM fedora\nRUN echo doomed\n", "alice", private)
+    revocation.remove(ledger, doomed.recipe_hash, "leaves a bundle in archive/")
     _tamper(ledger.log_path, 4, how)  # the unrelated recipe's line
     ledger = Ledger.open(ledger.root, sync=False)
     decision = rungate.check_runnable(ledger, image.image_id)
     assert not decision.allowed
     assert decision.reasons and all(r.startswith("signature-invalid:") for r in decision.reasons)
 
-    log = ledger.log_path.read_bytes()
+    before = _snapshot(ledger)
     child_text = f"FROM trusted:{image.image_id}\nRUN echo child\n"
     with pytest.raises(ParentRejectedError, match="signature-invalid:"):
         recipe.register_child(ledger, child_text, "alice", private)
-    assert ledger.log_path.read_bytes() == log
+    assert _snapshot(ledger) == before
     with pytest.raises(SignatureInvalidError):
         builder.build(ledger, pending.recipe_hash, MockEngine(), "alice", private)
-    assert ledger.log_path.read_bytes() == log
+    assert _snapshot(ledger) == before
     with pytest.raises(SignatureInvalidError):
         builder.diff_rebuild(ledger, image.image_id, MockEngine())
-    assert ledger.log_path.read_bytes() == log
+    assert _snapshot(ledger) == before
+    # the writes no admission question guards meet the write rule
+    for write, args in (
+        (recipe.register_root, (ledger, "FROM alpine\nRUN echo new\n", "alice", private)),
+        (revocation.remove, (ledger, image.image_id, "on an altered log")),
+        (ledger.add_entity, ("bob", second_keypair[0])),
+        (revocation.distrust, (ledger, "alice", "on an altered log")),
+    ):
+        with pytest.raises(TamperError, match="ledger.log was altered"):
+            write(*args)
+        assert _snapshot(ledger) == before
 
     for var in ("SPOCK_LEDGER", "SPOCK_SIGNER", "SPOCK_KEY"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path / "xdg"))
     key = tmp_path / "alice.key"
     crypto.write_private_key(key, private)
+    crypto.write_public_key(tmp_path / "bob.pub", second_keypair[0])
     child_file = tmp_path / "child.recipe"
     child_file.write_text(child_text)
-    signing = ["--ledger", str(ledger.root), "--signer", "alice", "--key", str(key)]
+    root_file = tmp_path / "root.recipe"
+    root_file.write_text("FROM alpine\nRUN echo new\n")
+    at = ["--ledger", str(ledger.root)]
+    signing = [*at, "--signer", "alice", "--key", str(key)]
     capsys.readouterr()
-    assert cli.main(["child", str(child_file), *signing]) == 5
-    assert "error: PARENT_REJECTED: " in capsys.readouterr().err
-    assert cli.main(["build", pending.recipe_hash, *signing]) == 4
-    assert "error: SIGNATURE_INVALID: " in capsys.readouterr().err
-    assert cli.main(["diff-rebuild", image.image_id, "--ledger", str(ledger.root)]) == 4
-    assert "error: SIGNATURE_INVALID: " in capsys.readouterr().err
-    assert ledger.log_path.read_bytes() == log
+    for argv, code, token in (
+        (["child", str(child_file), *signing], 5, "PARENT_REJECTED"),
+        (["build", pending.recipe_hash, *signing], 4, "SIGNATURE_INVALID"),
+        (["diff-rebuild", image.image_id, *at], 4, "SIGNATURE_INVALID"),
+        (["root", str(root_file), *signing], 4, "TAMPER"),
+        (["remove", image.image_id, "--reason", "r", *at], 4, "TAMPER"),
+        (["trust", "add", "bob", str(tmp_path / "bob.pub"), *at], 4, "TAMPER"),
+        (["trust", "distrust", "alice", "--reason", "r", *at], 4, "TAMPER"),
+    ):
+        assert cli.main(argv) == code, argv
+        assert f"error: {token}: " in capsys.readouterr().err
+        assert _snapshot(ledger) == before
 
 
 def _refuses(fn, *args) -> bool:

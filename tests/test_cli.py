@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spock import Ledger, cli
+from spock import Ledger, cli, crypto
 from tests.conftest import MALFORMED_MANIFESTS, ROOT_TEXT, craft_text, file_crafted_bundle
 
 
@@ -234,7 +234,7 @@ def test_archives_cli(workspace, capsys):
     assert cli.main(["archives", "show", "f" * 64]) == 3
 
 
-@pytest.mark.parametrize("damage", ["flip-item", "delete-item", "malformed-manifest"])
+@pytest.mark.parametrize("damage", ["flip-item", "delete-item", "malformed-manifest", "non-record-item"])
 def test_damaged_bundle_exits_tamper_from_validate_and_archives_show(workspace, capsys, damage):
     rec, _ = register_and_build_cli(capsys)
     code, removal = run_json(capsys, ["remove", rec["recipe_hash"], "--reason", "bad"])
@@ -248,13 +248,36 @@ def test_damaged_bundle_exits_tamper_from_validate_and_archives_show(workspace, 
         item.write_bytes(bytes(data))
     elif damage == "delete-item":
         item.unlink()
-    else:
+    elif damage == "malformed-manifest":
         bundle_id = file_crafted_bundle(ledger, MALFORMED_MANIFESTS["items-not-a-list"])
+    else:  # every digest matches, but the item is not a record
+        entry = {"type": "recipe", "id": "abc", "digest": crypto.digest(b"not a record")}
+        body = {"created_at": "2026-01-02T03:04:05Z", "reason": "r", "items": [entry]}
+        bundle_id = file_crafted_bundle(ledger, body, {"recipe-abc.json": b"not a record"})
     ledger.close()
     assert cli.main(["archives", "show", bundle_id]) == 4
     assert "error: TAMPER: bundle" in capsys.readouterr().err
     assert cli.main(["validate"]) == 4
     assert "bundle-manifest: bundle" in capsys.readouterr().out
+
+
+def test_write_signed_with_another_key_exits_4(workspace, capsys):
+    """A signing key that is not the signer's enrolled one is refused
+    before anything is written."""
+    _, image = register_and_build_cli(capsys)
+    Path("pending.recipe").write_text("FROM debian:12\nRUN echo b\n")
+    code, pending = run_json(capsys, ["root", "pending.recipe"])
+    assert code == 0
+    Path("new.recipe").write_text("FROM alpine\nRUN echo new\n")
+    Path("child.recipe").write_text(f"FROM trusted:{image['image_id']}\nRUN echo c\n")
+    assert cli.main(["keygen", "--private", "bob.key"]) == 0
+    log = Path("ledger/ledger.log").read_bytes()
+    capsys.readouterr()
+    for argv in (["root", "new.recipe"], ["child", "child.recipe"], ["build", pending["recipe_hash"]]):
+        assert cli.main([*argv, "--key", "bob.key"]) == 4, argv
+        assert "error: SIGNATURE_INVALID: " in capsys.readouterr().err
+        assert Path("ledger/ledger.log").read_bytes() == log
+    assert cli.main(["validate"]) == 0
 
 
 def test_trust_distrust_cli(workspace, capsys):

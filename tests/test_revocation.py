@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from spock import Ledger, MockEngine, builder, recipe, revocation
+from spock import Ledger, MockEngine, builder, crypto, recipe, revocation
 from spock.errors import (
     AlreadyDistrustedError,
     NotFoundError,
@@ -17,7 +17,8 @@ from spock.errors import (
     TamperError,
     UntrustedSignerError,
 )
-from spock.records import LedgerEvent
+from spock.records import LedgerEvent, record_bytes
+from spock.verify import bundle_item_name
 from tests.conftest import (
     MALFORMED_MANIFESTS,
     ROOT_TEXT,
@@ -284,10 +285,40 @@ def test_malformed_manifest_reads_as_tampered(fig_tree, case):
     assert "malformed" in failures[0].detail
 
 
+def _refile(ledger: Ledger, bundle_id: str, reason: str, forge=None, purged=None) -> str:
+    """File a copy of a bundle under a new reason, named by a new remove
+    event. ``forge(ledger, entry)`` gives new bytes for one random item,
+    whose digest is updated to match; ``purged`` gives the ``(type, id)``
+    pairs the event lists, by default the manifest's items."""
+    src = ledger.archive_root / bundle_id
+    manifest = json.loads((src / "manifest.json").read_text())
+    items = {p.name: p.read_bytes() for p in src.iterdir() if p.name != "manifest.json"}
+    if forge is not None:
+        entry = random.Random(bundle_id).choice(manifest["items"])
+        name = bundle_item_name(entry["type"], entry["id"])
+        items[name] = forge(ledger, entry)
+        entry["digest"] = crypto.digest(items[name])
+    if purged is None:
+        purged = [(i["type"], i["id"]) for i in manifest["items"]]
+    body = {"created_at": manifest["created_at"], "reason": reason, "items": manifest["items"]}
+    return file_crafted_bundle(ledger, body, items, purged)
+
+
+def _not_a_record(ledger, entry) -> bytes:
+    return b"not a record"
+
+
+def _another_record(ledger, entry) -> bytes:
+    table = ledger.recipes if entry["type"] == "recipe" else ledger.images
+    return record_bytes(next(r for key, r in table.items() if key != entry["id"]))
+
+
 def test_validate_and_open_archive_agree_on_damaged_bundles(tmp_path, keypair):
-    """One byte flipped in one bundle file, or one item file deleted:
-    ``validate`` fails ``bundle-manifest`` for exactly that purge event
-    if and only if ``open_archive`` reads the bundle as tampered."""
+    """One byte flipped in one bundle file, one item file deleted, or one
+    item, digest and all, replaced by bytes that are not a record or by
+    another record: ``validate`` fails ``bundle-manifest`` for exactly
+    that purge event if and only if ``open_archive`` reads the bundle as
+    tampered."""
     rng = random.Random(1999)
     damaged = 0
     for trial in range(60):
@@ -297,9 +328,13 @@ def test_validate_and_open_archive_agree_on_damaged_bundles(tmp_path, keypair):
         else:
             live = sorted(h for h, r in ledger.recipes.items() if r.status == "live")
             bundle = revocation.remove(ledger, rng.choice(live), "trial")
-        files = sorted((ledger.archive_root / bundle.bundle_id).iterdir())
+        bundle_id = bundle.bundle_id
+        files = sorted((ledger.archive_root / bundle_id).iterdir())
         items = [f for f in files if f.name != "manifest.json"]
-        if trial % 3 == 2:
+        if trial % 10 in (4, 9):
+            forge = _not_a_record if trial % 10 == 4 else _another_record
+            bundle_id = _refile(ledger, bundle_id, "forged item", forge)
+        elif trial % 3 == 2:
             rng.choice(items).unlink()
         else:
             victim = rng.choice(files)
@@ -308,7 +343,7 @@ def test_validate_and_open_archive_agree_on_damaged_bundles(tmp_path, keypair):
             victim.write_bytes(bytes(data))
 
         try:
-            revocation.open_archive(ledger, bundle.bundle_id)
+            revocation.open_archive(ledger, bundle_id)
             tampered = False
         except TamperError:
             tampered = True
@@ -320,6 +355,32 @@ def test_validate_and_open_archive_agree_on_damaged_bundles(tmp_path, keypair):
     # a flip can leave the manifest's parsed content unchanged (say, one
     # blank turned into another), but most damage must show
     assert damaged >= 50
+
+
+@pytest.mark.parametrize("differ", ["item-not-in-event", "event-names-no-item", "same"])
+def test_bundle_manifest_fails_when_items_differ_from_the_event(fig_tree, differ):
+    """An intact bundle whose items are not, as a set, what its purge
+    event lists fails ``bundle-manifest``; ``open_archive``, which has no
+    event, still reads it."""
+    ledger = fig_tree["ledger"]
+    bundle = revocation.remove(ledger, fig_tree["mid"].recipe_hash, "bad")
+    listed = [("recipe", r.recipe_hash) for r in bundle.removed_recipes]
+    listed += [("image", i.image_id) for i in bundle.removed_images]
+    purged = {
+        "item-not-in-event": listed[1:],
+        "event-names-no-item": [*listed, ("recipe", fig_tree["root"].recipe_hash)],
+        "same": listed[::-1],
+    }[differ]
+    bundle_id = _refile(ledger, bundle.bundle_id, "refiled", purged=purged)
+    revocation.open_archive(ledger, bundle_id)
+    failures = ledger.validate_all().failures()
+    if differ == "same":
+        assert failures == []
+        return
+    assert [(f.ref, f.check) for f in failures] == [
+        (f"event:remove:{len(ledger.events) - 1}", "bundle-manifest")
+    ]
+    assert failures[0].detail.startswith("bundle items differ from the event's purge lists")
 
 
 # ----------------------------------------------------------------------
