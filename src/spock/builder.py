@@ -234,7 +234,8 @@ def build(
             signer_id=signer,
         )
         image.signature = crypto.sign(image.signed_bytes(), private_key, signer)
-        return ledger.put_image(image)
+        ledger.append(image)
+    return image
 
 
 def diff_rebuild(ledger: Ledger, image_id: str, engine) -> DiffReport:

@@ -4,7 +4,6 @@ Layout of a ledger directory:
 
     ledger.log   append-only record log (authoritative)
     audit.log    append-only admission decisions (never replayed)
-    keys/        trusted public keys as PEM files (distribution copies)
     archive/     forensic bundles written by revocations
     index/       rebuildable summary, never read back (not authoritative)
     .lock        advisory lock file
@@ -43,17 +42,7 @@ from pathlib import Path
 
 from . import clock, crypto
 from .crypto import PublicKey, Signature
-from .errors import (
-    AlreadyRegisteredError,
-    DuplicateEntityError,
-    IntegrityError,
-    LedgerExistsError,
-    NotFoundError,
-    AmbiguousNodeError,
-    RebuildDeniedError,
-    SpockError,
-    TamperError,
-)
+from .errors import AmbiguousNodeError, IntegrityError, LedgerExistsError, NotFoundError, SpockError
 from .recipe import signed_link
 from .records import (
     ImageId,
@@ -69,11 +58,10 @@ from .records import (
     canonical_json,
     load_record,
 )
-from .verify import ValidationEntry, ValidationReport, check_write, read_bundle, record_entries, record_ref
+from .verify import ValidationEntry, ValidationReport, bundle_checks, check_write, record_entries, record_ref
 
 LOG_NAME = "ledger.log"
 AUDIT_NAME = "audit.log"
-KEYS_DIR = "keys"
 ARCHIVE_DIR = "archive"
 INDEX_DIR = "index"
 LOCK_NAME = ".lock"
@@ -191,7 +179,6 @@ class Ledger:
         if root.exists() and any(root.iterdir()):
             raise LedgerExistsError(f"path exists and is not empty: {root}")
         root.mkdir(parents=True, exist_ok=True)
-        (root / KEYS_DIR).mkdir()
         (root / ARCHIVE_DIR).mkdir()
         (root / INDEX_DIR).mkdir()
         (root / LOG_NAME).touch()
@@ -236,10 +223,6 @@ class Ledger:
     @property
     def archive_root(self) -> Path:
         return self.root / ARCHIVE_DIR
-
-    @property
-    def keys_root(self) -> Path:
-        return self.root / KEYS_DIR
 
     # ------------------------------------------------------------------
     # locking and replay
@@ -321,35 +304,36 @@ class Ledger:
     def _flag(self, ref: str, check: str, detail: str) -> None:
         self.issues.append(ValidationEntry(ref, check, False, detail))
 
-    def _apply(self, record) -> None:
+    def held(self, record):
+        """The record replay applied under ``record``'s id (the schema
+        record, entity id, recipe hash or image id), if any."""
         if isinstance(record, MetaRecord):
-            if self.meta is None:
-                self.meta = record
-            else:
-                self._flag("meta", "duplicate", "duplicate schema record")
+            return self.meta
+        if isinstance(record, TrustedEntity):
+            return self.entities.get(record.entity_id)
+        if isinstance(record, RecipeRecord):
+            return self.recipes.get(record.recipe_hash)
+        return self.images.get(record.image_id) if isinstance(record, ImageRecord) else None
+
+    def _apply(self, record) -> None:
+        if isinstance(record, LedgerEvent):
+            self.events.append(record)
+            if record.event in ("remove", "distrust"):
+                self._apply_purge_event(record)
+        elif self.held(record) is not None:
+            self._flag(record_ref(record), "duplicate", "id already recorded")
+        elif isinstance(record, MetaRecord):
+            self.meta = record
         elif isinstance(record, TrustedEntity):
-            if record.entity_id in self.entities:
-                self._flag(f"entity:{record.entity_id}", "duplicate", "duplicate entity id")
-                return
             self.entities[record.entity_id] = record
         elif isinstance(record, RecipeRecord):
-            if record.recipe_hash in self.recipes:
-                self._flag(f"recipe:{record.recipe_hash}", "duplicate", "duplicate recipe hash")
-                return
             self.recipes[record.recipe_hash] = record
             link = self._links[record.recipe_hash] = signed_link(record.content)
             if link is not None and link[1] is not None:
                 self._children_by_image.setdefault(link[1], []).append(record.recipe_hash)
         elif isinstance(record, ImageRecord):
-            if record.image_id in self.images:
-                self._flag(f"image:{record.image_id}", "duplicate", "duplicate image id")
-                return
             self.images[record.image_id] = record
             self._images_by_recipe.setdefault(record.recipe_hash, []).append(record.image_id)
-        elif isinstance(record, LedgerEvent):
-            self.events.append(record)
-            if record.event in ("remove", "distrust"):
-                self._apply_purge_event(record)
 
     def _apply_purge_event(self, event: LedgerEvent) -> None:
         for noun, table in (("recipe", self.recipes), ("image", self.images)):
@@ -441,36 +425,10 @@ class Ledger:
     def add_entity(self, entity_id: str, public_key: PublicKey) -> TrustedEntity:
         if not entity_id or " " in entity_id or "/" in entity_id:
             raise SpockError(f"invalid entity id: {entity_id!r}")
+        entity = TrustedEntity(entity_id=entity_id, public_key=public_key, added_at=clock.now_utc())
         with self.exclusive():
-            if entity_id in self.entities:
-                raise DuplicateEntityError(f"entity already exists: {entity_id}")
-            entity = TrustedEntity(
-                entity_id=entity_id, public_key=public_key, added_at=clock.now_utc()
-            )
             self.append(entity)
-            (self.keys_root / f"{entity_id}.pem").write_text(public_key.to_pem())
         return entity
-
-    def put_recipe(self, record: RecipeRecord) -> RecipeRecord:
-        with self.exclusive():
-            if record.recipe_hash in self.recipes:
-                raise AlreadyRegisteredError(
-                    f"recipe already recorded: {record.recipe_hash}"
-                )
-            self.append(record)
-        return record
-
-    def put_image(self, record: ImageRecord) -> ImageRecord:
-        with self.exclusive():
-            if record.image_id in self.images:
-                raise IntegrityError(f"duplicate image id: {record.image_id}")
-            live = self.live_image_for(record.recipe_hash)
-            if live is not None:
-                raise RebuildDeniedError(
-                    f"a live image already exists for recipe {record.recipe_hash}: {live.image_id}"
-                )
-            self.append(record)
-        return record
 
     # ------------------------------------------------------------------
     # queries
@@ -607,23 +565,9 @@ class Ledger:
                 )
 
         for i, event in enumerate(self.events):
-            if event.event not in ("remove", "distrust"):
-                continue
-            ref = f"event:{event.event}:{i}"
-            bundle_id = event.data.get("bundle_id", "")
-            bundle_ok, detail = True, ""
-            purged = {(noun, i) for noun in ("recipe", "image") for i in event.data.get(f"purged_{noun}s", [])}
-            try:
-                manifest = read_bundle(self.archive_root, bundle_id)[0]
-                if {(item["type"], item["id"]) for item in manifest["items"]} != purged:
-                    raise TamperError(f"bundle items differ from the event's purge lists: {bundle_id}")
-            except NotFoundError:
-                add(ValidationEntry(ref, "bundle-present", False, f"missing bundle {bundle_id}"))
-                continue
-            except (TamperError, OSError) as exc:
-                bundle_ok, detail = False, str(exc)
-            add(ValidationEntry(ref, "bundle-present", True))
-            add(ValidationEntry(ref, "bundle-manifest", bundle_ok, detail))
+            if event.event in ("remove", "distrust"):
+                ref = f"event:{event.event}:{i}"
+                report.entries.extend(ValidationEntry(ref, *c) for c in bundle_checks(self.archive_root, event))
 
         add(ValidationEntry("ledger", "parent-forest", not self._has_cycle()))
         return report

@@ -19,14 +19,8 @@ from typing import TYPE_CHECKING
 
 from . import clock, crypto
 from .crypto import PrivateKey
-from .errors import (
-    AlreadyRegisteredError,
-    ParentRejectedError,
-    ParseError,
-    PurgedError,
-    UntrustedSignerError,
-)
-from .records import KIND_CHILD, KIND_ROOT, RecipeRecord, STATUS_LIVE, STATUS_TRUSTED
+from .errors import ParentRejectedError, ParseError, UntrustedSignerError
+from .records import KIND_CHILD, KIND_ROOT, RecipeRecord, STATUS_TRUSTED
 
 if TYPE_CHECKING:
     from .ledger import Ledger
@@ -115,15 +109,6 @@ def require_trusted(ledger: Ledger, signer: str) -> None:
         raise UntrustedSignerError(f"signer is not a trusted entity: {signer}")
 
 
-def _check_hash_admissible(ledger: Ledger, recipe_hash: str) -> None:
-    existing = ledger.recipes.get(recipe_hash)
-    if existing is None:
-        return
-    if existing.status == STATUS_LIVE:
-        raise AlreadyRegisteredError(f"recipe already registered: {recipe_hash}")
-    raise PurgedError(f"recipe content was revoked and is barred forever: {recipe_hash}")
-
-
 def register_root(ledger: Ledger, text: str, signer: str, private_key: PrivateKey) -> RecipeRecord:
     return _register(ledger, text, signer, private_key, KIND_ROOT)
 
@@ -141,8 +126,6 @@ def _register(
         raise ParseError(f"recipe references {source}; register it with the {parsed.kind} command")
     with ledger.exclusive():
         require_trusted(ledger, signer)
-        recipe_hash = crypto.digest(parsed.content)
-        _check_hash_admissible(ledger, recipe_hash)
         parent_id = parsed.parent_image_id
         if parent_id is not None:
             from .provenance import lineage_problems  # local import to avoid a cycle
@@ -153,7 +136,7 @@ def _register(
                     f"referenced image fails lineage verification: {'; '.join(map(str, problems))}"
                 )
         record = RecipeRecord(
-            recipe_hash=recipe_hash,
+            recipe_hash=crypto.digest(parsed.content),
             kind=kind,
             content=parsed.content,
             signature=crypto.sign(parsed.content, private_key, signer),
@@ -161,4 +144,5 @@ def _register(
             parent_image_id=parent_id,
             registered_at=clock.now_utc(),
         )
-        return ledger.put_recipe(record)
+        ledger.append(record)
+    return record

@@ -7,8 +7,9 @@ them for every record. ``record_problems`` turns the failing checks of a
 recipe or image into admission problems for
 ``provenance.lineage_problems``, and adds the two predicates only
 admission asks for: the record is live, and its signer is trusted now.
-``check_write`` runs the same checks on a record before
-``Ledger.append`` writes it, so nothing spock writes fails ``validate``.
+``check_write`` is the write rule: ``Ledger.append`` writes a record only
+if, once written, replay would flag nothing and ``validate`` would pass;
+``_WRITE_ERRORS`` picks the error of the first check that would fail.
 
 A recipe's ``kind`` and ``parent_image_id`` are not covered by its
 signature, so the ``kind-parent`` check compares them with what the
@@ -16,6 +17,7 @@ signed ``FROM`` line gives, as replay keeps it in ``Ledger.link``.
 
 ``read_bundle`` is the one reader of an archive bundle, for ``validate``
 and ``revocation.open_archive`` alike; it returns the archived records.
+``bundle_checks`` checks a purge event's bundle, for ``validate`` and writes.
 
 Only the Ed25519 result is remembered: ``Ledger.verify`` keeps it per
 handle under the exact signed bytes, signature and key, and every other
@@ -26,11 +28,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import clock, crypto
-from .errors import IntegrityError, NotFoundError, SignatureInvalidError, SpockError, TamperError
+from .errors import AlreadyRegisteredError, DuplicateEntityError, IntegrityError, NotFoundError, PurgedError
+from .errors import RebuildDeniedError, SignatureInvalidError, SpockError, TamperError
 from .recipe import signed_link
 from .records import (
     ImageId,
@@ -64,8 +68,16 @@ TAMPER_CHECKS = ("parse", "record-digest", "duplicate")
 _ORDER = (PURGED, MISSING, UNTRUSTED_SIGNER, SIGNATURE_INVALID)
 # a failing check not listed here means the record cannot be believed
 _CHECK_CODES = {"signer-known": MISSING, "signer-trusted": UNTRUSTED_SIGNER}
-# which error refuses a write, by the first check it fails (else IntegrityError)
-_WRITE_ERRORS = {"signature": SignatureInvalidError, "content-hash": SignatureInvalidError}
+# which error refuses a write, by the noun of its ref and the first check it
+# fails, else by that check alone (else IntegrityError)
+_WRITE_ERRORS = {
+    "signature": SignatureInvalidError,
+    "content-hash": SignatureInvalidError,
+    "purged-hash": PurgedError,
+    "single-live-image": RebuildDeniedError,
+    ("entity", "duplicate"): DuplicateEntityError,
+    ("recipe", "duplicate"): AlreadyRegisteredError,
+}
 
 
 @dataclass
@@ -153,16 +165,73 @@ def record_problems(ledger: Ledger, record: RecipeRecord | ImageRecord) -> list[
 
 def check_write(ledger: Ledger, record=None) -> None:
     """The write rule: raise TamperError when replay found ``ledger.log``
-    altered, and otherwise unless an entity, recipe or image ``record``
-    passes every check ``validate`` would make of it in ``ledger``."""
+    altered, and otherwise unless ``record``, appended to ``ledger``, would
+    leave nothing for replay to flag and nothing for ``validate`` to fail."""
     altered = [i.ref for i in ledger.issues if i.check in TAMPER_CHECKS]
     if altered:
         raise TamperError(f"ledger.log was altered ({altered[0]}); restore it before writing")
-    checks = _CHECKS.get(type(record))
-    for check, ok, detail in checks(ledger, record, False) if checks else ():
+    if record is None:
+        return
+    ref = record_ref(record)
+    own = _CHECKS.get(type(record))
+    for check, ok, detail in chain(_ledger_checks(ledger, record), own(ledger, record, False) if own else ()):
         if not ok:
-            error = _WRITE_ERRORS.get(check, IntegrityError)
-            raise error(f"{record_ref(record)} fails {check}" + (f": {detail}" if detail else ""))
+            error = _WRITE_ERRORS.get((ref.split(":")[0], check)) or _WRITE_ERRORS.get(check, IntegrityError)
+            raise error(f"{ref} fails {check}" + (f": {detail}" if detail else ""))
+
+
+def _ledger_checks(ledger: Ledger, record):
+    """The checks across the ledger that a new record could fail. Its id is
+    new (a purged recipe hash fails ``purged-hash``, the bar on revoked
+    content), its status is the one replay will give it, and a new image's
+    recipe has no live image. A purge event names only records the ledger
+    holds, a distrust event purges every live record its entity signed, and
+    the event's bundle passes ``bundle_checks``."""
+    if not isinstance(record, LedgerEvent):
+        held = ledger.held(record)
+        if isinstance(held, RecipeRecord) and held.status != STATUS_LIVE:
+            yield "purged-hash", False, "recipe content was revoked and is barred forever"
+        else:
+            yield "duplicate", held is None, "id already recorded"
+        fresh = STATUS_TRUSTED if isinstance(record, TrustedEntity) else STATUS_LIVE
+        yield "status", getattr(record, "status", fresh) == fresh, f"replay gives it status {fresh}"
+        if isinstance(record, ImageRecord):
+            live = ledger.live_image_for(record.recipe_hash)
+            yield "single-live-image", live is None, "" if live is None else f"live image {live.image_id}"
+    elif record.event in ("remove", "distrust"):
+        purged = _purged(record)
+        tables = {"recipe": ledger.recipes, "image": ledger.images}
+        for noun, node_id in sorted(purged):
+            yield "referential", node_id in tables[noun], f"purge of unknown {noun} {node_id}"
+        if record.event == "distrust":
+            live = {"status": STATUS_LIVE, "signer": record.data.get("entity_id")}
+            for signed in (*ledger.list_recipes(**live), *ledger.list_images(**live)):
+                noun, node_id = record_ref(signed).split(":", 1)
+                yield "signer-trusted", (noun, node_id) in purged, f"leaves {noun} {node_id} live"
+        yield from bundle_checks(ledger.archive_root, record)
+
+
+def _purged(event: LedgerEvent) -> set[tuple[str, str]]:
+    """The (type, id) pairs a purge event lists."""
+    return {(noun, i) for noun in ("recipe", "image") for i in event.data.get(f"purged_{noun}s", [])}
+
+
+def bundle_checks(archive_root: Path, event: LedgerEvent):
+    """``validate``'s checks of a purge event's bundle: it is present, reads
+    back intact, and lists exactly what the event purges."""
+    bundle_id = event.data.get("bundle_id", "")
+    bundle_ok, detail = True, ""
+    try:
+        manifest = read_bundle(archive_root, bundle_id)[0]
+        if {(item["type"], item["id"]) for item in manifest["items"]} != _purged(event):
+            raise TamperError(f"bundle items differ from the event's purge lists: {bundle_id}")
+    except NotFoundError:
+        yield "bundle-present", False, f"missing bundle {bundle_id}"
+        return
+    except (TamperError, OSError) as exc:
+        bundle_ok, detail = False, str(exc)
+    yield "bundle-present", True, ""
+    yield "bundle-manifest", bundle_ok, detail
 
 
 def bundle_item_name(item_type: str, item_id: str) -> str:

@@ -99,7 +99,8 @@ def test_criterion_2_cascade_completeness(tmp_path, keypair, capsys):
     assert len(bundle.removed_images) == len(images_before)
 
     # every purged hash is now refused by both build and registration,
-    # library level and CLI level (exit 5, PURGED)
+    # library level and CLI level (exit 5): PURGED, except that a child's
+    # registration is refused first for its purged parent, PARENT_REJECTED
     key_path = tmp_path / "alice.key"
     crypto.write_private_key(key_path, private)
     ledger_arg = ["--ledger", str(ledger.root), "--signer", "alice", "--key", str(key_path)]
@@ -107,7 +108,8 @@ def test_criterion_2_cascade_completeness(tmp_path, keypair, capsys):
         with pytest.raises(PurgedError):
             builder.build(ledger, rec.recipe_hash, MockEngine(), "alice", private)
         register = recipe.register_root if rec.kind == "root" else recipe.register_child
-        with pytest.raises(PurgedError):
+        refusal = PurgedError if rec.kind == "root" else ParentRejectedError
+        with pytest.raises(refusal):
             register(ledger, rec.text, "alice", private)
         code = cli.main(["build", rec.recipe_hash] + ledger_arg)
         assert code == 5
@@ -117,7 +119,7 @@ def test_criterion_2_cascade_completeness(tmp_path, keypair, capsys):
         command = "root" if rec.kind == "root" else "child"
         code = cli.main([command, str(recipe_file)] + ledger_arg)
         assert code == 5
-        assert "PURGED" in capsys.readouterr().err
+        assert f"error: {refusal.token}:" in capsys.readouterr().err
     elapsed = time.monotonic() - t0
     with capsys.disabled():
         _report(2, 1.0, elapsed, "root removal cascades with exact conservation")

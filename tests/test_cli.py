@@ -84,6 +84,11 @@ def test_full_session_exit_codes(workspace, capsys):
     # unknown node -> 3
     assert cli.main(["info", "f" * 64]) == 3
     capsys.readouterr()
+    # an entity id or a live recipe recorded again -> 4
+    assert cli.main(["trust", "add", "alice", "alice.key.pub"]) == 4
+    assert "error: DUPLICATE_ENTITY:" in capsys.readouterr().err
+    assert cli.main(["root", "base.recipe"]) == 4
+    assert "error: ALREADY_REGISTERED:" in capsys.readouterr().err
     # remove, then purged registration -> 5
     assert cli.main(["remove", rec["recipe_hash"], "--reason", "bad"]) == 0
     capsys.readouterr()

@@ -30,7 +30,7 @@ from spock.records import (
     record_bytes,
 )
 from spock.ledger import format_log_line, read_lines
-from tests.conftest import ROOT_TEXT, register_and_build
+from tests.conftest import ROOT_TEXT, forge_line, register_and_build
 
 from datetime import datetime, timezone
 
@@ -40,8 +40,9 @@ def test_init_fresh_directory(tmp_path):
     assert ledger.entities == {}
     assert ledger.recipes == {}
     assert ledger.images == {}
-    for sub in ("keys", "archive", "index"):
+    for sub in ("archive", "index"):
         assert (tmp_path / "ledger" / sub).is_dir()
+    assert not (tmp_path / "ledger" / "keys").exists()
 
 
 def test_init_existing_ledger_fails(tmp_path):
@@ -92,11 +93,16 @@ def test_list_entities_sorted(fresh_ledger, keypair, second_keypair):
     assert [e.entity_id for e in fresh_ledger.list_entities()] == ["alice", "bob"]
 
 
-def test_add_entity_writes_pem(fresh_ledger, keypair):
+def test_ledger_with_a_keys_directory_still_opens(fresh_ledger, keypair):
+    """Older versions wrote ``keys/<id>.pem``; such a ledger opens,
+    validates and takes writes, and the key comes from ``ledger.log``."""
     public, _ = keypair
-    fresh_ledger.add_entity("alice", public)
-    pem = (fresh_ledger.root / "keys" / "alice.pem").read_text()
-    assert crypto.PublicKey.from_pem(pem) == public
+    (fresh_ledger.root / "keys").mkdir()
+    (fresh_ledger.root / "keys" / "alice.pem").write_text(public.to_pem())
+    reopened = Ledger.open(fresh_ledger.root, sync=False)
+    reopened.add_entity("alice", public)
+    assert Ledger.open(fresh_ledger.root, sync=False).get_entity("alice").public_key == public
+    assert reopened.validate_all().ok
 
 
 def test_put_recipe_unknown_signer(fresh_ledger, keypair):
@@ -111,8 +117,10 @@ def test_put_recipe_unknown_signer(fresh_ledger, keypair):
         parent_image_id=None,
         registered_at=datetime(2026, 1, 1, tzinfo=timezone.utc),
     )
-    with pytest.raises(IntegrityError):
-        fresh_ledger.put_recipe(record)
+    before = fresh_ledger.log_path.read_bytes()
+    with fresh_ledger.exclusive(), pytest.raises(IntegrityError):
+        fresh_ledger.append(record)
+    assert fresh_ledger.log_path.read_bytes() == before
 
 
 @pytest.mark.parametrize(
@@ -142,8 +150,8 @@ def test_put_recipe_requires_the_fields_the_signed_from_line_gives(
         registered_at=datetime(2026, 1, 1, tzinfo=timezone.utc),
     )
     before = ledger.log_path.read_bytes()
-    with pytest.raises(IntegrityError):
-        ledger.put_recipe(record)
+    with ledger.exclusive(), pytest.raises(IntegrityError):
+        ledger.append(record)
     assert ledger.log_path.read_bytes() == before
     assert record.recipe_hash not in ledger.recipes
     assert ledger.validate_all().ok
@@ -164,8 +172,10 @@ def test_second_live_image_for_recipe_denied(trusted_ledger):
         signature=clone.signature,
         signer_id=signer,
     )
-    with pytest.raises(RebuildDeniedError):
-        ledger.put_image(second)
+    before = ledger.log_path.read_bytes()
+    with ledger.exclusive(), pytest.raises(RebuildDeniedError):
+        ledger.append(second)
+    assert ledger.log_path.read_bytes() == before
 
 
 def test_list_by_status_returns_the_record(trusted_ledger):
@@ -227,22 +237,22 @@ def test_validate_flags_exactly_the_flipped_record(trusted_ledger):
 def test_validate_flags_distrusted_signer_live_records(trusted_ledger):
     ledger, signer, private = trusted_ledger
     rec = recipe.register_root(ledger, ROOT_TEXT, signer, private)
-    # synthesize a distrust event that purges nothing, leaving alice's
-    # live recipe behind as the inconsistency to be flagged
-    with ledger.exclusive():
-        ledger.append(
-            LedgerEvent(
-                event="distrust",
-                at=datetime(2026, 1, 1, tzinfo=timezone.utc),
-                data={
-                    "entity_id": signer,
-                    "reason": "fixture",
-                    "bundle_id": "",
-                    "purged_recipes": [],
-                    "purged_images": [],
-                },
-            )
-        )
+    # forge a distrust event that purges nothing, leaving alice's live
+    # recipe behind as the inconsistency to be flagged
+    forge_line(
+        ledger,
+        LedgerEvent(
+            event="distrust",
+            at=datetime(2026, 1, 1, tzinfo=timezone.utc),
+            data={
+                "entity_id": signer,
+                "reason": "fixture",
+                "bundle_id": "",
+                "purged_recipes": [],
+                "purged_images": [],
+            },
+        ),
+    )
     report = ledger.validate_all()
     flagged = [e for e in report.failures() if e.check == "signer-trusted"]
     assert [e.ref for e in flagged] == [f"recipe:{rec.recipe_hash}"]

@@ -6,7 +6,7 @@ import pytest
 
 from spock import Ledger, MockEngine, builder, recipe, revocation, rungate
 from spock.errors import SpawnError
-from tests.conftest import ROOT_TEXT, register_and_build
+from tests.conftest import ROOT_TEXT, forge_line, register_and_build
 
 
 def test_fresh_root_image_allowed(trusted_ledger):
@@ -40,20 +40,20 @@ def test_distrusted_signer_denies(trusted_ledger, second_keypair):
     ledger.add_entity("bob", second_keypair[0])
     _, image = register_and_build(ledger, ROOT_TEXT, alice, alice_key)
     # distrust must deny even when the records were not purged with it,
-    # so synthesize the distrust event alone
+    # so forge the distrust event alone
     from datetime import datetime, timezone
 
     from spock.records import LedgerEvent
 
-    with ledger.exclusive():
-        ledger.append(
-            LedgerEvent(
-                event="distrust",
-                at=datetime(2026, 1, 1, tzinfo=timezone.utc),
-                data={"entity_id": alice, "reason": "x", "bundle_id": "",
-                      "purged_recipes": [], "purged_images": []},
-            )
-        )
+    forge_line(
+        ledger,
+        LedgerEvent(
+            event="distrust",
+            at=datetime(2026, 1, 1, tzinfo=timezone.utc),
+            data={"entity_id": alice, "reason": "x", "bundle_id": "",
+                  "purged_recipes": [], "purged_images": []},
+        ),
+    )
     decision = rungate.check_runnable(ledger, image.image_id)
     assert decision.verdict == "deny"
     assert any(r == f"untrusted-signer:{alice}" for r in decision.reasons)
